@@ -29,6 +29,7 @@
 #include "trace/storage/blocked_trace.hpp"
 #include "trace/storage/options.hpp"
 #include "order/causality.hpp"
+#include "order/context.hpp"
 #include "order/merges.hpp"
 #include "order/phases.hpp"
 #include "order/stepping.hpp"
@@ -66,8 +67,10 @@ void BM_DependencyMerge(benchmark::State& state) {
     state.PauseTiming();
     auto pg = order::build_initial_partitions(t, opts);
     pg.cycle_merge();
+    order::OrderContext ctx(t, order::Options{});
+    ctx.attach_pg(pg);
     state.ResumeTiming();
-    order::dependency_merge(pg);
+    order::dependency_merge(ctx);
     benchmark::DoNotOptimize(pg.num_partitions());
   }
   state.SetItemsProcessed(state.iterations() * t.num_events());

@@ -19,6 +19,31 @@ void Digraph::add_edge(NodeId u, NodeId v) {
   pred_[static_cast<std::size_t>(v)].push_back(u);
 }
 
+namespace {
+
+/// Append `members` minus `self` (sorted, so one binary search splits it).
+void append_except(std::vector<NodeId>& adj, std::span<const NodeId> members,
+                   NodeId self) {
+  const auto at = std::lower_bound(members.begin(), members.end(), self);
+  adj.insert(adj.end(), members.begin(), at);
+  adj.insert(adj.end(), at != members.end() && *at == self ? at + 1 : at,
+             members.end());
+}
+
+}  // namespace
+
+void Digraph::add_biclique(std::span<const NodeId> from,
+                           std::span<const NodeId> to) {
+  for (NodeId u : from) {
+    LS_CHECK(u >= 0 && u < num_nodes());
+    append_except(succ_[static_cast<std::size_t>(u)], to, u);
+  }
+  for (NodeId v : to) {
+    LS_CHECK(v >= 0 && v < num_nodes());
+    append_except(pred_[static_cast<std::size_t>(v)], from, v);
+  }
+}
+
 void Digraph::finalize() {
   auto dedup = [](std::vector<NodeId>& adj) {
     std::sort(adj.begin(), adj.end());

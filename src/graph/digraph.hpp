@@ -29,6 +29,11 @@ class Digraph {
   /// finalize(); callers may add freely.
   void add_edge(NodeId u, NodeId v);
 
+  /// Add every edge u->v with u in `from`, v in `to` (both sorted and
+  /// duplicate-free), self-loops skipped: the same adjacency as the
+  /// |from| x |to| add_edge calls, appended in bulk.
+  void add_biclique(std::span<const NodeId> from, std::span<const NodeId> to);
+
   /// Sort and deduplicate adjacency; must be called after the last add_edge
   /// and before queries that rely on sorted adjacency.
   void finalize();

@@ -6,6 +6,7 @@
 /// The paper's "cycle merge" collapses every SCC of the partition graph into
 /// one partition so that each pipeline pass starts and ends with a DAG.
 
+#include <span>
 #include <vector>
 
 #include "graph/digraph.hpp"
@@ -22,6 +23,24 @@ struct SccResult {
 
 /// Compute SCCs. Safe for large graphs (explicit stack, no recursion).
 SccResult strongly_connected_components(const Digraph& g);
+
+/// An implicit complete bipartite edge set: every node of `from` has an
+/// edge to every node of `to` (both sorted and duplicate-free; self pairs
+/// skipped) — what Digraph::add_biclique() would add.
+struct Biclique {
+  std::span<const NodeId> from;
+  std::span<const NodeId> to;
+};
+
+/// SCCs of `g` plus the bicliques' edges, without materializing them.
+/// The numbering equals strongly_connected_components() over `g` with
+/// every biclique added by add_biclique(): Tarjan's numbering depends
+/// only on the DFS visit order (smallest unvisited successor first) and
+/// the SCCs themselves, so visited biclique members are skipped through a
+/// per-biclique "next unvisited" list, and their lowlink contribution is
+/// the smallest index of a member still on the stack.
+SccResult strongly_connected_components(const Digraph& g,
+                                        std::span<const Biclique> bicliques);
 
 /// True iff the graph has no directed cycle (every SCC is a single node).
 bool is_dag(const Digraph& g);

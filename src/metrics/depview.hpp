@@ -1,11 +1,14 @@
 #pragma once
 
 /// \file depview.hpp
-/// Reverse view over the trace's frozen dependency table: for each
-/// receiving event, the span of events it depends on (its matching send,
-/// fan-out origin, or every send of its collective). Built in
-/// O(events + dependencies) straight off the SoA columns — counting sort
-/// into a CSR, no per-event allocation.
+/// Reverse view over the trace's dependencies: for each receiving event,
+/// the span of events it depends on (its matching send, fan-out origin,
+/// or every send of its collective), in the order the rows of the frozen
+/// dependency table give them. Point-to-point rows are counting-sorted
+/// into a CSR in O(events + p2p rows); a collective receive borrows its
+/// collective's `sends` list from Trace::collectives() instead of copying
+/// |sends| rows per receive. The view therefore must not outlive the
+/// trace it was built from.
 
 #include <cstdint>
 #include <span>
@@ -17,50 +20,44 @@ namespace logstruct::metrics {
 
 class IncomingDeps {
  public:
-  explicit IncomingDeps(const trace::Trace& trace) {
-    const auto sends = trace.dep_sends();
-    const auto recvs = trace.dep_recvs();
-    begin_.assign(static_cast<std::size_t>(trace.num_events()) + 1, 0);
-    for (trace::EventId r : recvs)
-      ++begin_[static_cast<std::size_t>(r) + 1];
-    for (std::size_t i = 1; i < begin_.size(); ++i)
-      begin_[i] += begin_[i - 1];
-    senders_.resize(recvs.size());
-    std::vector<std::int32_t> cursor(begin_.begin(), begin_.end() - 1);
-    for (std::size_t i = 0; i < recvs.size(); ++i)
-      senders_[static_cast<std::size_t>(
-          cursor[static_cast<std::size_t>(recvs[i])]++)] = sends[i];
-  }
+  explicit IncomingDeps(const trace::Trace& trace);
 
   /// Events `recv` depends on; empty for sends and dependency-free events.
   [[nodiscard]] std::span<const trace::EventId> senders(
       trace::EventId recv) const {
-    const auto b = static_cast<std::size_t>(
-        begin_[static_cast<std::size_t>(recv)]);
-    const auto e = static_cast<std::size_t>(
-        begin_[static_cast<std::size_t>(recv) + 1]);
+    const auto i = static_cast<std::size_t>(recv);
+    if (const std::int32_t c = collective_of(recv); c >= 0)
+      return collectives_[static_cast<std::size_t>(c)].sends;
+    const auto b = static_cast<std::size_t>(begin_[i]);
+    const auto e = static_cast<std::size_t>(begin_[i + 1]);
     return std::span<const trace::EventId>(senders_).subspan(b, e - b);
   }
 
-  /// The dependency that gated `recv`: the last-arriving sender
-  /// (ties broken toward the smaller event id), or kNone.
+  /// The dependency that gated `recv`: the last-arriving sender (ties
+  /// broken toward the earliest in senders() order), or kNone. Computed
+  /// once per collective.
   [[nodiscard]] trace::EventId binding_sender(const trace::Trace& trace,
                                               trace::EventId recv) const {
-    trace::EventId best = trace::kNone;
-    trace::TimeNs best_time = 0;
-    for (trace::EventId s : senders(recv)) {
-      const trace::TimeNs ts = trace.event_time(s);
-      if (best == trace::kNone || ts > best_time) {
-        best = s;
-        best_time = ts;
-      }
-    }
-    return best;
+    if (const std::int32_t c = collective_of(recv); c >= 0)
+      return coll_binding_[static_cast<std::size_t>(c)];
+    return latest(trace, senders(recv));
   }
 
  private:
+  [[nodiscard]] std::int32_t collective_of(trace::EventId recv) const {
+    return coll_of_.empty() ? -1 : coll_of_[static_cast<std::size_t>(recv)];
+  }
+  static trace::EventId latest(const trace::Trace& trace,
+                               std::span<const trace::EventId> senders);
+
+  /// Per event: the collective whose `sends` list is the event's whole
+  /// sender list, or -1 (the list then lives in the CSR below). Empty
+  /// when the trace has no collectives.
+  std::vector<std::int32_t> coll_of_;
   std::vector<std::int32_t> begin_;
   std::vector<trace::EventId> senders_;
+  std::span<const trace::Collective> collectives_;
+  std::vector<trace::EventId> coll_binding_;  ///< per collective
 };
 
 }  // namespace logstruct::metrics

@@ -99,6 +99,33 @@ WindowLoads compute_window_loads(const trace::Trace& trace,
   const auto dep_sends = trace.dep_sends();
   const auto dep_recvs = trace.dep_recvs();
 
+  // Collective rows in closed form, per receive at t_r: |sends| messages
+  // and a transfer wait of sum_s max(0, t_r - t_s) = k * t_r - (sum of
+  // the k send times <= t_r), read off the sorted send times' prefix
+  // sums. Integer sums, so the result equals the row-by-row walk.
+  std::vector<std::int64_t> coll_messages(num_windows, 0);
+  std::vector<trace::TimeNs> coll_wait(num_windows, 0);
+  {
+    std::vector<trace::TimeNs> times;
+    std::vector<trace::TimeNs> prefix;
+    for (const trace::Collective& coll : trace.collectives()) {
+      times.clear();
+      for (trace::EventId s : coll.sends) times.push_back(trace.event_time(s));
+      std::sort(times.begin(), times.end());
+      prefix.assign(times.size() + 1, 0);
+      for (std::size_t i = 0; i < times.size(); ++i)
+        prefix[i + 1] = prefix[i] + times[i];
+      for (trace::EventId r : coll.recvs) {
+        const auto w = static_cast<std::size_t>(windows.window_of(r));
+        const trace::TimeNs t = trace.event_time(r);
+        const auto k = static_cast<std::size_t>(
+            std::upper_bound(times.begin(), times.end(), t) - times.begin());
+        coll_messages[w] += static_cast<std::int64_t>(times.size());
+        coll_wait[w] += static_cast<trace::TimeNs>(k) * t - prefix[k];
+      }
+    }
+  }
+
   // Zero-latency replay scratch, shared across windows: every window
   // touches only its own events (windows partition the event set), so
   // the fan-out below stays index-owned.
@@ -134,9 +161,12 @@ WindowLoads compute_window_loads(const trace::Trace& trace,
           loads.busy_max[wz] = std::max(loads.busy_max[wz], busy[p]);
         }
 
-        // Message rows landing in this window, ascending row index.
+        // Message rows landing in this window: point-to-point rows in
+        // ascending row index, collectives from the closed form above.
         const auto rows = windows.deps_of(w);
-        loads.messages[wz] = static_cast<std::int64_t>(rows.size());
+        loads.messages[wz] =
+            static_cast<std::int64_t>(rows.size()) + coll_messages[wz];
+        loads.transfer_wait[wz] = coll_wait[wz];
         for (std::int64_t r : rows) {
           const trace::TimeNs latency =
               trace.event(dep_recvs[static_cast<std::size_t>(r)]).time -

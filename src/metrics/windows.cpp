@@ -29,18 +29,20 @@ void WindowSet::index_members(const trace::Trace& trace,
         static_cast<trace::EventId>(e);
   }
 
-  // Dependency rows land in the window of their receive, row-id sorted.
+  // Point-to-point rows land in the window of their receive, row-id
+  // sorted; collective rows stay with their collective (deps_of()).
   const auto recvs = trace.dep_recvs();
+  const auto p2p = static_cast<std::size_t>(trace.num_p2p_dependencies());
   dep_begin_.assign(num_windows + 1, 0);
-  for (std::size_t r = 0; r < recvs.size(); ++r)
+  for (std::size_t r = 0; r < p2p; ++r)
     ++dep_begin_[static_cast<std::size_t>(
                      window_of_event_[static_cast<std::size_t>(recvs[r])]) +
                  1];
   for (std::size_t w = 1; w < dep_begin_.size(); ++w)
     dep_begin_[w] += dep_begin_[w - 1];
-  deps_.resize(recvs.size());
+  deps_.resize(p2p);
   cursor.assign(dep_begin_.begin(), dep_begin_.end() - 1);
-  for (std::size_t r = 0; r < recvs.size(); ++r) {
+  for (std::size_t r = 0; r < p2p; ++r) {
     const auto w = static_cast<std::size_t>(
         window_of_event_[static_cast<std::size_t>(recvs[r])]);
     deps_[static_cast<std::size_t>(cursor[w]++)] =

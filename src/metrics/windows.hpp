@@ -6,12 +6,14 @@
 /// A WindowSet partitions a trace's events into disjoint windows — either
 /// fixed-width wall-clock time bins or the recovered phases of a
 /// PhaseResult — and precomputes, per window, a CSR view of (a) the
-/// events it owns and (b) the rows of the frozen dependency table whose
-/// *receive* lands in it. The time-resolved efficiency kernels
+/// events it owns and (b) the point-to-point rows of the frozen
+/// dependency table whose *receive* lands in it. Collective rows are not
+/// indexed: kernels read a collective as one group from
+/// Trace::collectives(). The time-resolved efficiency kernels
 /// (metrics/efficiency.hpp) iterate these views instead of re-scanning
 /// the whole trace per window; the side-by-side bin-vs-phase comparison
 /// (examples/efficiency_compare.cpp) is the paper's attribution claim
-/// made runnable. Construction is O(events + dependencies) with
+/// made runnable. Construction is O(events + p2p rows) with
 /// counting sorts; per-window event order is ascending event id, so
 /// fixed-order reductions over a window are bit-identical for any
 /// thread count. See docs/METRICS.md for the window semantics.
@@ -75,9 +77,10 @@ class WindowSet {
     return csr_span(event_begin_, events_, w);
   }
 
-  /// Rows of the trace's dependency table whose receive is in window w,
-  /// ascending row index. Row r reads back through
-  /// Trace::dep_sends()[r] / dep_recvs()[r] / dep_kinds()[r].
+  /// Point-to-point rows (Trace::num_p2p_dependencies() prefix) of the
+  /// trace's dependency table whose receive is in window w, ascending row
+  /// index. Row r reads back through Trace::dep_sends()[r] /
+  /// dep_recvs()[r] / dep_kinds()[r]. The collective tail is left out.
   [[nodiscard]] std::span<const std::int64_t> deps_of(std::int32_t w) const {
     return csr_span(dep_begin_, deps_, w);
   }

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <numeric>
 
+#include "obs/obs.hpp"
 #include "obs/progress.hpp"
 #include "order/block_units.hpp"
 #include "trace/sdag.hpp"
@@ -114,10 +115,24 @@ PartitionGraph build_initial_partitions(const trace::Trace& trace,
   }
   if (ticked > 0) obs::Progress::tick(ticked);
 
-  // Edge type 1: remote method invocations.
-  trace.for_each_dependency([&](trace::EventId s, trace::EventId rcv) {
+  // Edge type 1: remote method invocations. Point-to-point rows become
+  // edges; each collective becomes one edge group (its sends' partitions
+  // before its recvs' partitions) instead of its sends x recvs rows.
+  trace.for_each_p2p_dependency([&](trace::EventId s, trace::EventId rcv) {
     pg.add_edge(pg.part_of(s), pg.part_of(rcv));
   });
+  for (const trace::Collective& coll : trace.collectives()) {
+    std::vector<PartId> from;
+    std::vector<PartId> to;
+    from.reserve(coll.sends.size());
+    to.reserve(coll.recvs.size());
+    for (trace::EventId s : coll.sends) from.push_back(pg.part_of(s));
+    for (trace::EventId r : coll.recvs) to.push_back(pg.part_of(r));
+    pg.add_group(std::move(from), std::move(to));
+  }
+  OBS_COUNTER_ADD("order/initial/collective_groups", pg.num_groups());
+  OBS_COUNTER_ADD("order/initial/collective_rows_skipped",
+                  trace.num_dependencies() - trace.num_p2p_dependencies());
 
   // Edge type 3: SDAG inference. (a) A `when`-triggered execution
   // happened-before the serial it awakened; (b) serial n happened-before

@@ -1,5 +1,6 @@
 #include "order/merges.hpp"
 
+#include <algorithm>
 #include <map>
 #include <utility>
 #include <vector>
@@ -13,7 +14,7 @@ namespace logstruct::order {
 void dependency_merge(OrderContext& ctx) {
   PartitionGraph& pg = ctx.pg();
   auto& pairs = ctx.scratch_pairs();
-  pg.trace().for_each_dependency([&](trace::EventId s, trace::EventId r) {
+  pg.trace().for_each_p2p_dependency([&](trace::EventId s, trace::EventId r) {
     PartId p = pg.part_of(s);
     PartId q = pg.part_of(r);
     // Matching ends of an invocation always classify identically (both
@@ -22,14 +23,38 @@ void dependency_merge(OrderContext& ctx) {
     // produced by earlier cycle merges.
     if (p != q && pg.runtime(p) == pg.runtime(q)) pairs.emplace_back(p, q);
   });
+  // A collective's sends x recvs pairs of one kind form a complete
+  // bipartite graph, which joins every partition of that kind on either
+  // side into one set once both sides are non-empty. Chaining the sorted
+  // members gives the same sets, and the union-find's dense labels depend
+  // only on the sets, so the relabel is identical.
+  std::vector<PartId> members[2];
+  for (const trace::Collective& coll : pg.trace().collectives()) {
+    bool sends_of[2] = {false, false};
+    bool recvs_of[2] = {false, false};
+    members[0].clear();
+    members[1].clear();
+    for (trace::EventId s : coll.sends) {
+      const PartId p = pg.part_of(s);
+      sends_of[pg.runtime(p)] = true;
+      members[pg.runtime(p)].push_back(p);
+    }
+    for (trace::EventId r : coll.recvs) {
+      const PartId q = pg.part_of(r);
+      recvs_of[pg.runtime(q)] = true;
+      members[pg.runtime(q)].push_back(q);
+    }
+    for (int kind = 0; kind < 2; ++kind) {
+      if (!sends_of[kind] || !recvs_of[kind]) continue;
+      std::vector<PartId>& m = members[kind];
+      std::sort(m.begin(), m.end());
+      m.erase(std::unique(m.begin(), m.end()), m.end());
+      for (std::size_t i = 1; i < m.size(); ++i)
+        pairs.emplace_back(m[i - 1], m[i]);
+    }
+  }
   pg.apply_merges(pairs);
   pg.cycle_merge();
-}
-
-void dependency_merge(PartitionGraph& pg) {
-  OrderContext ctx(pg.trace(), Options{});
-  ctx.attach_pg(pg);
-  dependency_merge(ctx);
 }
 
 void repair_merge(OrderContext& ctx) {
@@ -58,14 +83,6 @@ void repair_merge(OrderContext& ctx) {
   }
   pg.apply_merges(pairs);
   pg.cycle_merge();
-}
-
-void repair_merge(PartitionGraph& pg, const PartitionOptions& opts) {
-  Options all;
-  all.partition = opts;
-  OrderContext ctx(pg.trace(), all);
-  ctx.attach_pg(pg);
-  repair_merge(ctx);
 }
 
 void neighbor_serial_merge(OrderContext& ctx) {
@@ -102,15 +119,6 @@ void neighbor_serial_merge(OrderContext& ctx) {
   }
   pg.apply_merges(pairs);
   pg.cycle_merge();
-}
-
-void neighbor_serial_merge(PartitionGraph& pg,
-                           const PartitionOptions& opts) {
-  Options all;
-  all.partition = opts;
-  OrderContext ctx(pg.trace(), all);
-  ctx.attach_pg(pg);
-  neighbor_serial_merge(ctx);
 }
 
 }  // namespace logstruct::order

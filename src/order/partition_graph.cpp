@@ -32,6 +32,30 @@ void PartitionGraph::add_edge(PartId from, PartId to) {
   edges_.emplace_back(from, to);
 }
 
+namespace {
+
+void sort_unique(std::vector<PartId>& v) {
+  std::sort(v.begin(), v.end());
+  v.erase(std::unique(v.begin(), v.end()), v.end());
+}
+
+/// A group yields no edge iff both sides are the same single partition.
+bool collapsed(const std::vector<PartId>& from, const std::vector<PartId>& to) {
+  return from.empty() || to.empty() ||
+         (from.size() == 1 && to.size() == 1 && from[0] == to[0]);
+}
+
+}  // namespace
+
+void PartitionGraph::add_group(std::vector<PartId> from,
+                               std::vector<PartId> to) {
+  LS_CHECK(!finalized_);
+  sort_unique(from);
+  sort_unique(to);
+  if (collapsed(from, to)) return;
+  groups_.push_back({std::move(from), std::move(to)});
+}
+
 void PartitionGraph::finalize() {
   LS_CHECK(!finalized_);
   finalized_ = true;
@@ -59,13 +83,22 @@ void PartitionGraph::ensure_dag() const {
   if (!dag_guard_.dirty.load(std::memory_order_acquire)) return;
   std::lock_guard<std::mutex> lock(dag_guard_.mu);
   if (!dag_guard_.dirty.load(std::memory_order_relaxed)) return;
+  build_plain_dag();
+  // The groups expand after the compaction so they never land in edges_.
+  if (!groups_.empty()) {
+    for (const EdgeGroup& g : groups_) dag_.add_biclique(g.from, g.to);
+    dag_.finalize();
+  }
+  dag_guard_.dirty.store(false, std::memory_order_release);
+}
+
+void PartitionGraph::build_plain_dag() const {
   dag_.reset(num_partitions());
   for (auto [u, v] : edges_) dag_.add_edge(u, v);
   dag_.finalize();
   // Compact: the adjacency is deduplicated, so shrink the flat list back
   // to the unique edges to keep future remaps proportional to |E|.
   edges_ = dag_.edges();
-  dag_guard_.dirty.store(false, std::memory_order_release);
 }
 
 trace::EventId PartitionGraph::first_event_of_chare(PartId p,
@@ -102,8 +135,22 @@ bool PartitionGraph::apply_merges(
 
 bool PartitionGraph::cycle_merge() {
   LS_CHECK(finalized_);
-  ensure_dag();
-  graph::SccResult scc = graph::strongly_connected_components(dag_);
+  graph::SccResult scc;
+  if (!groups_.empty() && dag_guard_.dirty.load(std::memory_order_acquire)) {
+    // Keep the groups implicit: SCCs over the plain edges plus the groups
+    // number components exactly as over the expanded dag(), which would
+    // cost |from| x |to| adjacency entries per group. dag_ stays dirty
+    // (it lacks the groups); a cycle that collapses a group's members
+    // drops the group, so it is never expanded at all.
+    build_plain_dag();
+    std::vector<graph::Biclique> bicliques;
+    bicliques.reserve(groups_.size());
+    for (const EdgeGroup& g : groups_) bicliques.push_back({g.from, g.to});
+    scc = graph::strongly_connected_components(dag_, bicliques);
+  } else {
+    ensure_dag();
+    scc = graph::strongly_connected_components(dag_);
+  }
   if (scc.num_components == num_partitions()) return false;
   relabel(scc.component, scc.num_components);
   return true;
@@ -165,6 +212,17 @@ void PartitionGraph::relabel(const std::vector<std::int32_t>& label,
     if (nu != nv) edges_[w++] = {nu, nv};
   }
   edges_.resize(w);
+
+  // Remap the groups' members the same way; drop groups left edgeless.
+  for (EdgeGroup& g : groups_) {
+    for (PartId& p : g.from) p = label[static_cast<std::size_t>(p)];
+    for (PartId& p : g.to) p = label[static_cast<std::size_t>(p)];
+    sort_unique(g.from);
+    sort_unique(g.to);
+  }
+  std::erase_if(groups_, [](const EdgeGroup& g) {
+    return collapsed(g.from, g.to);
+  });
   dag_guard_.dirty.store(true, std::memory_order_release);
   ++epoch_;
 }
@@ -180,6 +238,10 @@ std::int64_t PartitionGraph::memory_bytes() const {
                                  sizeof(std::vector<trace::ChareId>));
   for (const auto& v : chares_)
     b += static_cast<std::int64_t>(v.capacity() * sizeof(trace::ChareId));
+  b += static_cast<std::int64_t>(groups_.capacity() * sizeof(EdgeGroup));
+  for (const EdgeGroup& g : groups_)
+    b += static_cast<std::int64_t>((g.from.capacity() + g.to.capacity()) *
+                                   sizeof(PartId));
   return b;
 }
 

@@ -14,6 +14,16 @@
 /// edge list is kept as a flat vector that is remapped in place, and the
 /// adjacency structure (dag()) is rebuilt lazily — deferred edge
 /// compaction — only when a query needs it after a mutation dirtied it.
+///
+/// Edge groups carry an MPI collective as one object: "every partition
+/// of `from` happened before every partition of `to`" is stored as the
+/// two sorted member lists, not as |from| x |to| pairs. Merges remap the
+/// members; dag() expands the live groups into exactly the adjacency
+/// the pairs would give, so partition ids and Tarjan order are the same
+/// either way. cycle_merge() on a dirty graph never expands them: it runs
+/// Tarjan over the plain edges with the groups as implicit bicliques
+/// (graph/scc.hpp), with the same numbering. A group whose members
+/// collapse into one partition has no edges left and is dropped.
 /// Partition ids keep the exact historical relabeling semantics
 /// (union-find dense labels for pair merges, Tarjan component order for
 /// cycle merges), so downstream tie-breaks are bit-identical to the old
@@ -48,6 +58,11 @@ class PartitionGraph {
 
   /// Construction: record a happened-before edge (self-edges ignored).
   void add_edge(PartId from, PartId to);
+
+  /// Construction: record the edge group from x to — every partition in
+  /// `from` happened before every partition in `to`, self pairs ignored —
+  /// as one object. Members may repeat and come in any order.
+  void add_group(std::vector<PartId> from, std::vector<PartId> to);
 
   /// Must be called after the last add_partition/add_edge and before any
   /// query or merge.
@@ -97,6 +112,11 @@ class PartitionGraph {
   /// Add happened-before edges after construction (deduplicated lazily).
   void add_edges_bulk(std::span<const std::pair<PartId, PartId>> edges);
 
+  /// Live edge groups (add_group), after merges dropped collapsed ones.
+  [[nodiscard]] std::int32_t num_groups() const {
+    return static_cast<std::int32_t>(groups_.size());
+  }
+
   /// Total merges applied so far (for pipeline statistics).
   [[nodiscard]] std::int64_t merges_applied() const { return merges_; }
 
@@ -109,7 +129,8 @@ class PartitionGraph {
   }
 
   /// Approximate total container footprint (events, chares, part_of,
-  /// edges; capacities). Feeds `order/partition_graph/footprint_bytes`.
+  /// edges, edge groups; capacities). Feeds
+  /// `order/partition_graph/footprint_bytes`.
   [[nodiscard]] std::int64_t memory_bytes() const;
 
   /// Structural version counter: bumped by every mutation that can change
@@ -124,6 +145,8 @@ class PartitionGraph {
   /// merge semantics. Touches only merged groups' event/chare lists.
   void relabel(const std::vector<std::int32_t>& label, std::int32_t num_new);
   void ensure_dag() const;
+  /// dag_ := the deduplicated plain edges (no groups); compacts edges_.
+  void build_plain_dag() const;
 
   const trace::Trace* trace_;
   std::vector<std::vector<trace::EventId>> events_;
@@ -145,9 +168,17 @@ class PartitionGraph {
     }
   };
 
+  /// Sorted, duplicate-free member lists of one edge group.
+  struct EdgeGroup {
+    std::vector<PartId> from;
+    std::vector<PartId> to;
+  };
+
   // Flat happened-before edge list (may contain duplicates between
-  // compactions); dag_ is materialized from it on demand.
+  // compactions) plus the edge groups; dag_ is materialized from both
+  // on demand.
   mutable std::vector<std::pair<PartId, PartId>> edges_;
+  std::vector<EdgeGroup> groups_;
   mutable graph::Digraph dag_;
   mutable DagGuard dag_guard_;
   bool finalized_ = false;

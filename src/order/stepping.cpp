@@ -169,6 +169,14 @@ void stepping_pass(OrderContext& ctx) {
       static_cast<std::size_t>(trace.num_events()), trace::kNone);
   std::vector<std::int32_t> conflicts(
       static_cast<std::size_t>(phases.num_phases()), 0);
+  // Position of each event in its phase's event list, to merge released
+  // collective receives into a send's successors (per-event, so the
+  // phase fan-out below writes disjoint slots; empty without collectives).
+  std::vector<std::int32_t> pos_in_phase(
+      trace.collectives().empty()
+          ? 0
+          : static_cast<std::size_t>(trace.num_events()),
+      0);
 
   // Phases are mutually independent here: every vector indexed below is
   // written at per-phase or per-event (single owning phase) positions, so
@@ -229,15 +237,47 @@ void stepping_pass(OrderContext& ctx) {
     }
 
     // Local step assignment: Kahn over sequence + message dependencies.
+    // A collective is one dependency of each of its in-phase receives,
+    // released when the last of its in-phase sends settles. That is the
+    // moment its sends x recvs pairs would all have been counted down,
+    // and the released receives join the settling send's successors in
+    // phase-event order, so every receive becomes ready exactly when and
+    // where the pairs would have made it ready.
     std::unordered_map<trace::EventId, std::int32_t> indeg;
     std::unordered_map<trace::EventId, std::vector<trace::EventId>> succ;
     auto in_phase = [&](trace::EventId e) {
       return phases.phase_of_event[static_cast<std::size_t>(e)] == ph;
     };
+    struct PhaseCollective {
+      std::vector<trace::EventId> recvs;  ///< in phase-event order
+      std::int32_t pending = 0;  ///< distinct in-phase sends not settled
+      std::int32_t max_send_step = 0;  ///< valid once pending == 0
+    };
+    std::unordered_map<std::int32_t, PhaseCollective> colls;
+    std::unordered_map<trace::EventId, std::vector<std::int32_t>> colls_of_send;
     for (trace::EventId e : phase_events) indeg[e] = 0;
+    if (!pos_in_phase.empty()) {
+      for (std::size_t i = 0; i < phase_events.size(); ++i)
+        pos_in_phase[static_cast<std::size_t>(phase_events[i])] =
+            static_cast<std::int32_t>(i);
+    }
     auto add_dep = [&](trace::EventId from, trace::EventId to) {
       succ[from].push_back(to);
       ++indeg[to];
+    };
+    auto phase_collective = [&](std::int32_t c) -> PhaseCollective& {
+      auto [it, inserted] = colls.try_emplace(c);
+      if (inserted) {
+        std::vector<trace::EventId> sends;
+        for (trace::EventId s :
+             trace.collectives()[static_cast<std::size_t>(c)].sends)
+          if (in_phase(s)) sends.push_back(s);
+        std::sort(sends.begin(), sends.end());
+        sends.erase(std::unique(sends.begin(), sends.end()), sends.end());
+        it->second.pending = static_cast<std::int32_t>(sends.size());
+        for (trace::EventId s : sends) colls_of_send[s].push_back(c);
+      }
+      return it->second;
     };
     for (trace::EventId e : phase_events) {
       if (seq_pred[static_cast<std::size_t>(e)] != trace::kNone)
@@ -248,10 +288,10 @@ void stepping_pass(OrderContext& ctx) {
           add_dep(ev.partner, e);
         auto coll = coll_of.find(e);
         if (coll != coll_of.end()) {
-          for (trace::EventId s :
-               trace.collectives()[static_cast<std::size_t>(coll->second)]
-                   .sends) {
-            if (in_phase(s)) add_dep(s, e);
+          PhaseCollective& pc = phase_collective(coll->second);
+          if (pc.pending > 0) {
+            pc.recvs.push_back(e);
+            ++indeg[e];
           }
         }
       }
@@ -262,6 +302,7 @@ void stepping_pass(OrderContext& ctx) {
       if (indeg[e] == 0) ready.push_back(e);
     std::size_t done = 0;
     std::unordered_map<trace::EventId, bool> processed;
+    std::vector<trace::EventId> released;
     auto settle = [&](trace::EventId e) {
       if (processed[e]) return;
       std::int32_t step = 0;
@@ -279,19 +320,54 @@ void stepping_pass(OrderContext& ctx) {
               out.local_step[static_cast<std::size_t>(ev.partner)] + 1);
         auto coll = coll_of.find(e);
         if (coll != coll_of.end()) {
-          for (trace::EventId s :
-               trace.collectives()[static_cast<std::size_t>(coll->second)]
-                   .sends) {
-            if (in_phase(s))
-              step = std::max(
-                  step, out.local_step[static_cast<std::size_t>(s)] + 1);
+          const PhaseCollective& pc = colls.at(coll->second);
+          if (pc.pending == 0 && !pc.recvs.empty()) {
+            step = std::max(step, pc.max_send_step + 1);
+          } else {
+            // Settled ahead of its sends (a broken cycle): read them now.
+            for (trace::EventId s :
+                 trace.collectives()[static_cast<std::size_t>(coll->second)]
+                     .sends) {
+              if (in_phase(s))
+                step = std::max(
+                    step, out.local_step[static_cast<std::size_t>(s)] + 1);
+            }
           }
         }
       }
       out.local_step[static_cast<std::size_t>(e)] = step;
       processed[e] = true;
       ++done;
-      for (trace::EventId nxt : succ[e]) {
+
+      // Successors: the plain ones, plus the receives of every collective
+      // whose last in-phase send this is, merged in phase-event order.
+      static const std::vector<trace::EventId> kNoSucc;
+      auto it = succ.find(e);
+      const std::vector<trace::EventId>& plain =
+          it == succ.end() ? kNoSucc : it->second;
+      released.clear();
+      if (auto cs = colls_of_send.find(e); cs != colls_of_send.end()) {
+        for (std::int32_t c : cs->second) {
+          PhaseCollective& pc = colls.at(c);
+          if (--pc.pending > 0) continue;
+          for (trace::EventId s :
+               trace.collectives()[static_cast<std::size_t>(c)].sends)
+            if (in_phase(s))
+              pc.max_send_step =
+                  std::max(pc.max_send_step,
+                           out.local_step[static_cast<std::size_t>(s)]);
+          released.insert(released.end(), pc.recvs.begin(), pc.recvs.end());
+        }
+      }
+      if (!released.empty()) {
+        released.insert(released.end(), plain.begin(), plain.end());
+        std::stable_sort(released.begin(), released.end(),
+                         [&](trace::EventId a, trace::EventId b) {
+                           return pos_in_phase[static_cast<std::size_t>(a)] <
+                                  pos_in_phase[static_cast<std::size_t>(b)];
+                         });
+      }
+      for (trace::EventId nxt : released.empty() ? plain : released) {
         if (--indeg[nxt] == 0) ready.push_back(nxt);
       }
     };

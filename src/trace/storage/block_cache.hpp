@@ -42,6 +42,11 @@ class BlockCache {
   /// Replace the byte budget (0 = unbounded) and evict down to it.
   void set_budget(std::uint64_t bytes);
 
+  /// The byte budget in force (0 = unbounded).
+  [[nodiscard]] std::uint64_t budget() const {
+    return budget_.load(std::memory_order_relaxed);
+  }
+
   /// Drop every entry belonging to a store generation (store teardown).
   void purge(std::uint64_t generation);
 

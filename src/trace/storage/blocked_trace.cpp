@@ -467,6 +467,10 @@ void freeze_blocked(Trace& trace, int threads) {
 }
 
 Trace open_blocked_trace(const std::string& path) {
+  // Reading the process defaults applies the LOGSTRUCT_CACHE_MB budget on
+  // first use; a process that only opens .lsblk files never freezes, so
+  // nothing else would. An earlier set_default_options() stays in force.
+  (void)default_options();
   Trace trace;
   auto data = std::make_shared<BlockedTraceData>();
   data->store = std::make_unique<BlockStore>(path);

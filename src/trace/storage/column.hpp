@@ -138,11 +138,19 @@ class BlockedColumn {
   /// Visit the column as maximal contiguous chunks (one per block).
   template <typename Fn>
   void for_each_chunk(Fn&& fn) const {
-    for (std::size_t base = 0; base < size_; base += per_block_) {
-      const std::size_t n =
-          per_block_ < size_ - base ? per_block_ : size_ - base;
+    for_each_chunk_in(0, size_, fn);
+  }
+
+  /// Visit [lo, hi) as contiguous chunks that never straddle a block:
+  /// fn(ptr, count, base_index).
+  template <typename Fn>
+  void for_each_chunk_in(std::size_t lo, std::size_t hi, Fn&& fn) const {
+    for (std::size_t base = lo; base < hi;) {
+      const std::size_t room = per_block_ - base % per_block_;
+      const std::size_t n = room < hi - base ? room : hi - base;
       PinnedSpan<T> span = pin(base, base + n);
       fn(span.ptr, n, base);
+      base += n;
     }
   }
 

@@ -136,6 +136,13 @@ class Trace {
     return static_cast<std::int64_t>(blocked_ ? blocked_->dep_send.size()
                                               : dep_send_.size());
   }
+  /// Rows of the point-to-point prefix (matches and broadcast fan-outs):
+  /// rows [0, num_p2p_dependencies()) of the table. The collective
+  /// cross-product tail follows; consumers that carry collectives as
+  /// groups (collectives()) walk only this prefix.
+  [[nodiscard]] std::int64_t num_p2p_dependencies() const {
+    return dep_begin_at(static_cast<std::size_t>(num_events()));
+  }
   /// Column of sending event ids, one per dependency row.
   [[nodiscard]] storage::ColumnView<EventId> dep_sends() const {
     if (blocked_) return storage::ColumnView<EventId>(&blocked_->dep_send);
@@ -159,19 +166,16 @@ class Trace {
   /// statically dispatched (no std::function).
   template <typename Fn>
   void for_each_dependency(Fn&& fn) const {
-    if (!blocked_) {
-      const EventId* send = dep_send_.data();
-      const EventId* recv = dep_recv_.data();
-      for (std::size_t i = 0, n = dep_send_.size(); i < n; ++i)
-        fn(send[i], recv[i]);
-      return;
-    }
-    const storage::BlockedColumn<EventId>& recvs = blocked_->dep_recv;
-    blocked_->dep_send.for_each_chunk(
-        [&](const EventId* send, std::size_t n, std::size_t base) {
-          storage::PinnedSpan<EventId> recv = recvs.pin(base, base + n);
-          for (std::size_t i = 0; i < n; ++i) fn(send[i], recv[i]);
-        });
+    for_each_dependency_row(0, static_cast<std::size_t>(num_dependencies()),
+                            fn);
+  }
+
+  /// for_each_dependency() restricted to the point-to-point prefix, in
+  /// row order; collectives are left to the caller (collectives()).
+  template <typename Fn>
+  void for_each_p2p_dependency(Fn&& fn) const {
+    for_each_dependency_row(
+        0, static_cast<std::size_t>(num_p2p_dependencies()), fn);
   }
 
   /// Blocks of a chare in begin-time order.
@@ -268,6 +272,25 @@ class Trace {
 
   /// The historical all-vector freeze (mem backend).
   void freeze_mem(int threads);
+
+  /// Rows [lo, hi) of the dependency table as fn(send, recv); block-
+  /// granular chunks under the blocked backend.
+  template <typename Fn>
+  void for_each_dependency_row(std::size_t lo, std::size_t hi,
+                               Fn&& fn) const {
+    if (!blocked_) {
+      const EventId* send = dep_send_.data();
+      const EventId* recv = dep_recv_.data();
+      for (std::size_t i = lo; i < hi; ++i) fn(send[i], recv[i]);
+      return;
+    }
+    const storage::BlockedColumn<EventId>& recvs = blocked_->dep_recv;
+    blocked_->dep_send.for_each_chunk_in(
+        lo, hi, [&](const EventId* send, std::size_t n, std::size_t base) {
+          storage::PinnedSpan<EventId> recv = recvs.pin(base, base + n);
+          for (std::size_t i = 0; i < n; ++i) fn(send[i], recv[i]);
+        });
+  }
 
   [[nodiscard]] std::int32_t dep_begin_at(std::size_t i) const {
     if (blocked_) [[unlikely]] return dep_begin_blocked(i);

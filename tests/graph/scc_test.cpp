@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
+#include <vector>
+
+#include "util/rng.hpp"
 
 namespace logstruct::graph {
 namespace {
@@ -87,6 +91,54 @@ TEST(Scc, ComponentIdsAreDense) {
   EXPECT_EQ(static_cast<std::int32_t>(ids.size()), r.num_components);
   EXPECT_EQ(*ids.begin(), 0);
   EXPECT_EQ(*ids.rbegin(), r.num_components - 1);
+}
+
+/// Sorted, duplicate-free random node list of 1..max_size nodes.
+std::vector<NodeId> random_nodes(util::Rng& rng, NodeId n,
+                                 std::uint64_t max_size) {
+  std::vector<NodeId> out(1 + rng.uniform(max_size));
+  for (NodeId& v : out)
+    v = static_cast<NodeId>(rng.uniform(static_cast<std::uint64_t>(n)));
+  std::sort(out.begin(), out.end());
+  out.erase(std::unique(out.begin(), out.end()), out.end());
+  return out;
+}
+
+/// Implicit bicliques number components exactly like the same graph with
+/// every biclique expanded by add_biclique(): same ids, same order. The
+/// random graphs mix sparse plain edges with bicliques that overlap,
+/// share sides, or contain self pairs.
+TEST(Scc, ImplicitBicliquesMatchExpandedGraph) {
+  for (std::uint64_t seed = 1; seed <= 300; ++seed) {
+    SCOPED_TRACE(seed);
+    util::Rng rng(seed);
+    const auto n = static_cast<NodeId>(1 + rng.uniform(40));
+    Digraph plain(n);
+    for (std::uint64_t k = rng.uniform(2 * static_cast<std::uint64_t>(n));
+         k > 0; --k)
+      plain.add_edge(
+          static_cast<NodeId>(rng.uniform(static_cast<std::uint64_t>(n))),
+          static_cast<NodeId>(rng.uniform(static_cast<std::uint64_t>(n))));
+    plain.finalize();
+    std::vector<std::vector<NodeId>> sides;
+    for (std::uint64_t k = rng.uniform(5); k > 0; --k) {
+      sides.push_back(random_nodes(rng, n, 8));
+      sides.push_back(rng.uniform(3) == 0 ? sides.back()
+                                          : random_nodes(rng, n, 8));
+    }
+    std::vector<Biclique> bicliques;
+    Digraph expanded = plain;
+    for (std::size_t i = 0; i < sides.size(); i += 2) {
+      bicliques.push_back({sides[i], sides[i + 1]});
+      expanded.add_biclique(sides[i], sides[i + 1]);
+    }
+    expanded.finalize();
+
+    const SccResult want = strongly_connected_components(expanded);
+    const SccResult got = strongly_connected_components(plain, bicliques);
+    EXPECT_EQ(got.num_components, want.num_components);
+    EXPECT_EQ(got.component, want.component);
+  }
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 #include "apps/jacobi2d.hpp"
 #include "apps/lulesh.hpp"
 #include "apps/pdes.hpp"
+#include "order/context.hpp"
 #include "order/initial.hpp"
 #include "order/merges.hpp"
 #include "trace/builder.hpp"
@@ -17,13 +18,17 @@ PartitionGraph run_pipeline(const trace::Trace& t,
                             const PartitionOptions& opts) {
   PartitionGraph pg = build_initial_partitions(t, opts);
   pg.cycle_merge();
-  dependency_merge(pg);
-  if (opts.repair_serial_blocks) repair_merge(pg, opts);
+  Options all;
+  all.partition = opts;
+  OrderContext ctx(t, all);
+  ctx.attach_pg(pg);
+  dependency_merge(ctx);
+  if (opts.repair_serial_blocks) repair_merge(ctx);
   if (opts.neighbor_serial_merge && opts.sdag_inference)
-    neighbor_serial_merge(pg, opts);
-  if (opts.infer_source_order) infer_source_order(pg);
-  enforce_leap_property(pg, opts);
-  enforce_chare_paths(pg);
+    neighbor_serial_merge(ctx);
+  if (opts.infer_source_order) infer_source_order(ctx);
+  enforce_leap_property(ctx);
+  enforce_chare_paths(ctx);
   return pg;
 }
 
@@ -125,9 +130,10 @@ TEST(Infer, AppRuntimeOverlapOrderedNotMerged) {
   trace::Trace t = tb.finish(1);
 
   PartitionGraph pg = build_initial_partitions(t, PartitionOptions{});
-  dependency_merge(pg);
-  PartitionOptions opts;
-  enforce_leap_property(pg, opts);
+  OrderContext ctx(t, Options{});
+  ctx.attach_pg(pg);
+  dependency_merge(ctx);
+  enforce_leap_property(ctx);
   EXPECT_TRUE(check_leap_property(pg));
   PartId p_app = pg.part_of(s_app);
   PartId p_rt = pg.part_of(s_rt);

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "graph/leaps.hpp"
+#include "order/context.hpp"
 #include "order/infer.hpp"
 #include "order/initial.hpp"
 #include "trace/builder.hpp"
@@ -25,7 +26,9 @@ TEST(Merges, DependencyMergeJoinsMatchingEnds) {
 
   PartitionGraph pg = build_initial_partitions(t, PartitionOptions{});
   EXPECT_NE(pg.part_of(s), pg.part_of(r));
-  dependency_merge(pg);
+  OrderContext ctx(t, Options{});
+  ctx.attach_pg(pg);
+  dependency_merge(ctx);
   EXPECT_EQ(pg.part_of(s), pg.part_of(r));
 }
 
@@ -49,7 +52,9 @@ TEST(Merges, DependencyMergeSkipsMixedKinds) {
   PartitionGraph pg = build_initial_partitions(t, PartitionOptions{});
   EXPECT_TRUE(pg.runtime(pg.part_of(s)));
   EXPECT_TRUE(pg.runtime(pg.part_of(rv)));
-  dependency_merge(pg);
+  OrderContext ctx(t, Options{});
+  ctx.attach_pg(pg);
+  dependency_merge(ctx);
   EXPECT_EQ(pg.part_of(s), pg.part_of(rv));
 }
 
@@ -92,8 +97,10 @@ TEST(Merges, RepairLeavesSplitRunsForLeapMerge) {
   EXPECT_FALSE(pg.runtime(pg.part_of(s1)));
   EXPECT_TRUE(pg.runtime(pg.part_of(sr)));
 
-  dependency_merge(pg);
-  repair_merge(pg, PartitionOptions{});
+  OrderContext ctx(t, Options{});
+  ctx.attach_pg(pg);
+  dependency_merge(ctx);
+  repair_merge(ctx);
   // The repair alone keeps all three pieces apart (adjacent pairs differ
   // in kind)...
   EXPECT_NE(pg.part_of(s1), pg.part_of(s2));
@@ -103,7 +110,7 @@ TEST(Merges, RepairLeavesSplitRunsForLeapMerge) {
   // app -> runtime -> app, so they are sequential phases, not one. The
   // leap enforcement leaves that sequence alone (different leaps never
   // merge).
-  enforce_leap_property(pg, PartitionOptions{});
+  enforce_leap_property(ctx);
   EXPECT_NE(pg.part_of(s1), pg.part_of(s2));
   auto leaps = graph::compute_leaps(pg.dag());
   EXPECT_LT(leaps[static_cast<std::size_t>(pg.part_of(s1))],
@@ -151,17 +158,18 @@ TEST(Merges, NeighborSerialMergeGroupsSuccessors) {
   tb.end_block(dr, 85);
   trace::Trace t = tb.finish(2);
 
-  PartitionOptions opts;
-  PartitionGraph pg = build_initial_partitions(t, opts);
+  PartitionGraph pg = build_initial_partitions(t, PartitionOptions{});
   pg.cycle_merge();
-  dependency_merge(pg);
-  repair_merge(pg, opts);
+  OrderContext ctx(t, Options{});
+  ctx.attach_pg(pg);
+  dependency_merge(ctx);
+  repair_merge(ctx);
   // serial_0 group merged into one multi-chare phase; serial_1 halves
   // still separate.
   ASSERT_EQ(pg.part_of(sa), pg.part_of(sb));
   ASSERT_NE(pg.part_of(sa1), pg.part_of(sb1));
 
-  neighbor_serial_merge(pg, opts);
+  neighbor_serial_merge(ctx);
   EXPECT_EQ(pg.part_of(sa1), pg.part_of(sb1));
 }
 
@@ -188,12 +196,13 @@ TEST(Merges, NeighborSerialMergeIgnoresSingleChareSources) {
   tb.end_block(cr1, 85);
   trace::Trace t = tb.finish(2);
 
-  PartitionOptions opts;
-  PartitionGraph pg = build_initial_partitions(t, opts);
+  PartitionGraph pg = build_initial_partitions(t, PartitionOptions{});
   pg.cycle_merge();
-  dependency_merge(pg);
+  OrderContext ctx(t, Options{});
+  ctx.attach_pg(pg);
+  dependency_merge(ctx);
   std::int32_t before = pg.num_partitions();
-  neighbor_serial_merge(pg, opts);
+  neighbor_serial_merge(ctx);
   EXPECT_EQ(pg.num_partitions(), before);
 }
 

@@ -6,6 +6,7 @@
 #include <thread>
 
 #include "trace/builder.hpp"
+#include "util/rng.hpp"
 
 namespace logstruct::order {
 namespace {
@@ -16,11 +17,12 @@ struct Fixture {
   std::vector<trace::EventId> events;
 };
 
-Fixture make_four_events() {
+/// `n` single-event chares (one block each).
+Fixture make_events(int n) {
   Fixture f;
   trace::TraceBuilder tb;
   trace::EntryId e = tb.add_entry("go");
-  for (int i = 0; i < 4; ++i) {
+  for (int i = 0; i < n; ++i) {
     trace::ChareId c = tb.add_chare("c" + std::to_string(i));
     trace::BlockId b = tb.begin_block(c, 0, e, i * 10);
     f.events.push_back(tb.add_send(b, i * 10));
@@ -29,6 +31,8 @@ Fixture make_four_events() {
   f.trace = tb.finish(1);
   return f;
 }
+
+Fixture make_four_events() { return make_events(4); }
 
 TEST(PartitionGraph, BuildAndQuery) {
   Fixture f = make_four_events();
@@ -188,6 +192,122 @@ TEST(PartitionGraph, ConcurrentDagReadersAfterDirty) {
     for (std::thread& th : readers) th.join();
     ASSERT_EQ(ok.load(), kReaders) << "round " << round;
   }
+}
+
+/// Random members for one side of an edge group: repeats allowed,
+/// unsorted.
+std::vector<PartId> random_members(util::Rng& rng, std::int32_t n) {
+  std::vector<PartId> out(1 + rng.uniform(6));
+  for (PartId& p : out) p = static_cast<PartId>(rng.uniform(
+      static_cast<std::uint64_t>(n)));
+  return out;
+}
+
+/// Both graphs agree on everything the passes can observe.
+void expect_same(const PartitionGraph& a, const PartitionGraph& b,
+                 const trace::Trace& t) {
+  ASSERT_EQ(a.num_partitions(), b.num_partitions());
+  EXPECT_EQ(a.epoch(), b.epoch());
+  EXPECT_EQ(a.merges_applied(), b.merges_applied());
+  for (trace::EventId e = 0; e < t.num_events(); ++e)
+    ASSERT_EQ(a.part_of(e), b.part_of(e)) << "event " << e;
+  for (PartId p = 0; p < a.num_partitions(); ++p)
+    EXPECT_EQ(a.runtime(p), b.runtime(p));
+  EXPECT_EQ(a.dag().edges(), b.dag().edges());
+}
+
+/// Edge groups are exactly their expansion: a graph built with groups
+/// and its twin built with every group as explicit add_edge calls give
+/// the same DAG, the same merge and cycle-merge labels and the same
+/// epoch, through rounds of random merges. Groups cover disjoint and
+/// overlapping sender/receiver sides, self pairs and repeated members.
+TEST(PartitionGraph, GroupsMatchExpandedEdges) {
+  for (std::uint64_t seed = 1; seed <= 60; ++seed) {
+    SCOPED_TRACE(seed);
+    util::Rng rng(seed);
+    const auto n = static_cast<std::int32_t>(3 + rng.uniform(30));
+    Fixture f = make_events(n);
+    PartitionGraph grouped(f.trace);
+    PartitionGraph expanded(f.trace);
+    for (std::int32_t i = 0; i < n; ++i) {
+      const bool runtime = rng.uniform(4) == 0;
+      grouped.add_partition({f.events[static_cast<std::size_t>(i)]}, runtime);
+      expanded.add_partition({f.events[static_cast<std::size_t>(i)]},
+                             runtime);
+    }
+    for (std::uint64_t k = rng.uniform(2 * static_cast<std::uint64_t>(n));
+         k > 0; --k) {
+      const auto u = static_cast<PartId>(rng.uniform(
+          static_cast<std::uint64_t>(n)));
+      const auto v = static_cast<PartId>(rng.uniform(
+          static_cast<std::uint64_t>(n)));
+      grouped.add_edge(u, v);
+      expanded.add_edge(u, v);
+    }
+    for (std::uint64_t k = 1 + rng.uniform(4); k > 0; --k) {
+      std::vector<PartId> from = random_members(rng, n);
+      std::vector<PartId> to = random_members(rng, n);
+      switch (rng.uniform(3)) {
+        case 0: to = from; break;                           // all self pairs
+        case 1: to.push_back(from.front()); break;          // overlap
+        default: break;                                     // independent
+      }
+      for (PartId u : from)
+        for (PartId v : to) expanded.add_edge(u, v);
+      grouped.add_group(std::move(from), std::move(to));
+    }
+    grouped.finalize();
+    expanded.finalize();
+    // cycle_merge() keeps the groups implicit when the DAG is dirty and
+    // expands them when a dag() query already materialized it; odd
+    // seeds take the first path, even seeds the second.
+    if (seed % 2 == 0) expect_same(grouped, expanded, f.trace);
+    EXPECT_EQ(grouped.cycle_merge(), expanded.cycle_merge());
+    expect_same(grouped, expanded, f.trace);
+
+    for (int round = 0; round < 4 && grouped.num_partitions() > 1; ++round) {
+      const std::int32_t parts = grouped.num_partitions();
+      std::vector<std::pair<PartId, PartId>> pairs;
+      for (std::uint64_t k = rng.uniform(3); k > 0; --k)
+        pairs.emplace_back(static_cast<PartId>(rng.uniform(
+                               static_cast<std::uint64_t>(parts))),
+                           static_cast<PartId>(rng.uniform(
+                               static_cast<std::uint64_t>(parts))));
+      EXPECT_EQ(grouped.apply_merges(pairs), expanded.apply_merges(pairs));
+      if (seed % 2 == 0) expect_same(grouped, expanded, f.trace);
+      EXPECT_EQ(grouped.cycle_merge(), expanded.cycle_merge());
+      expect_same(grouped, expanded, f.trace);
+    }
+  }
+}
+
+/// A group whose members all collapse into one partition has no edges
+/// left and is dropped; its storage counts toward memory_bytes() until
+/// then.
+TEST(PartitionGraph, CollapsedGroupsAreDropped) {
+  Fixture f = make_four_events();
+  PartitionGraph pg(f.trace);
+  PartitionGraph plain(f.trace);
+  for (int i = 0; i < 4; ++i) {
+    pg.add_partition({f.events[static_cast<std::size_t>(i)]}, false);
+    plain.add_partition({f.events[static_cast<std::size_t>(i)]}, false);
+  }
+  pg.add_group({0, 1}, {2, 3});
+  pg.add_group({2}, {2});  // only a self pair: never stored
+  pg.finalize();
+  plain.finalize();
+  EXPECT_EQ(pg.num_groups(), 1);
+  EXPECT_GT(pg.memory_bytes(), plain.memory_bytes());
+  EXPECT_EQ(pg.dag().num_edges(), 4u);
+
+  std::vector<std::pair<PartId, PartId>> pairs{{0, 1}};
+  pg.apply_merges(pairs);
+  EXPECT_EQ(pg.num_groups(), 1);  // {01} -> {2, 3} still has edges
+  pairs = {{0, 1}, {1, 2}};
+  pg.apply_merges(pairs);
+  EXPECT_EQ(pg.num_partitions(), 1);
+  EXPECT_EQ(pg.num_groups(), 0);
+  EXPECT_EQ(pg.dag().num_edges(), 0u);
 }
 
 }  // namespace

@@ -1,10 +1,12 @@
 #pragma once
 
-/// Randomized well-formed trace generator shared by the pipeline fuzz
-/// tests and the causality property tests: random chares, placements,
-/// serial blocks, fan-outs, untraced dependencies, and runtime chares.
-/// Per-PE time is kept monotonic so blocks never overlap; receives
-/// always follow their send.
+/// Randomized well-formed trace generators shared by the pipeline fuzz
+/// tests, the causality property tests and the collective-group tests.
+/// random_trace: random chares, placements, serial blocks, fan-outs,
+/// untraced dependencies, and runtime chares. random_collective_trace:
+/// MPI-style ranks with point-to-point rounds and collectives. Per-PE
+/// time is kept monotonic so blocks never overlap; point-to-point
+/// receives always follow their send.
 
 #include <algorithm>
 #include <cstdint>
@@ -132,6 +134,85 @@ inline trace::Trace random_trace(std::uint64_t seed) {
     proc_clock[static_cast<std::size_t>(home[dst])] = t0 + 1;
   }
   return tb.finish(num_procs);
+}
+
+/// One chare per rank, MPI style: `min_ranks` plus up to `extra_ranks`
+/// ranks. Each round every rank sends `msgs` messages to random peers,
+/// then joins a collective: a random subset sends in one block,
+/// another random subset receives in a later block. Send and recv times
+/// interleave across ranks, so some collective latencies are negative
+/// (clamped to zero by the transfer-wait kernel).
+inline trace::Trace random_collective_trace(std::uint64_t seed,
+                                           std::int32_t min_ranks,
+                                           std::int32_t extra_ranks,
+                                           std::int32_t msgs) {
+  util::Rng rng(seed);
+  const auto ranks = static_cast<std::int32_t>(
+      min_ranks + static_cast<std::int32_t>(rng.uniform(
+                      static_cast<std::uint64_t>(extra_ranks) + 1)));
+  trace::TraceBuilder tb;
+  const trace::EntryId work = tb.add_entry("work");
+  const trace::EntryId coll_entry = tb.add_entry("MPI_Allreduce");
+  std::vector<trace::ChareId> chare;
+  for (std::int32_t r = 0; r < ranks; ++r)
+    chare.push_back(tb.add_chare("rank" + std::to_string(r)));
+  std::vector<trace::TimeNs> clock(static_cast<std::size_t>(ranks), 0);
+  auto open_block = [&](std::int32_t r, trace::EntryId e) {
+    auto& c = clock[static_cast<std::size_t>(r)];
+    c += 1 + static_cast<trace::TimeNs>(rng.uniform(40));
+    return tb.begin_block(chare[static_cast<std::size_t>(r)], r, e, c);
+  };
+  auto close_block = [&](std::int32_t r, trace::BlockId b) {
+    auto& c = clock[static_cast<std::size_t>(r)];
+    c += 1 + static_cast<trace::TimeNs>(rng.uniform(10));
+    tb.end_block(b, c);
+  };
+  auto pick = [&](std::int32_t n) {
+    return static_cast<std::int32_t>(
+        rng.uniform(static_cast<std::uint64_t>(n)));
+  };
+
+  struct Mail {
+    std::int32_t dst;
+    trace::EventId send;
+    trace::TimeNs sent_at;
+  };
+  for (int round = 0; round < 4; ++round) {
+    std::vector<Mail> mail;
+    for (std::int32_t r = 0; r < ranks; ++r) {
+      const trace::BlockId b = open_block(r, work);
+      for (std::int32_t m = 0; m < msgs; ++m) {
+        const trace::TimeNs t = clock[static_cast<std::size_t>(r)] + m;
+        mail.push_back({pick(ranks), tb.add_send(b, t), t});
+      }
+      close_block(r, b);
+    }
+    for (const Mail& m : mail) {
+      const trace::BlockId b = open_block(m.dst, work);
+      auto& c = clock[static_cast<std::size_t>(m.dst)];
+      c = std::max(c, m.sent_at + 1);
+      tb.add_recv(b, c, m.send);
+      close_block(m.dst, b);
+    }
+    const trace::CollectiveId coll = tb.begin_collective();
+    bool any = false;
+    for (std::int32_t r = 0; r < ranks; ++r) {
+      if (rng.uniform(3) == 0 && (any || r + 1 < ranks)) continue;
+      any = true;
+      const trace::BlockId b = open_block(r, coll_entry);
+      tb.add_collective_send(coll, b, clock[static_cast<std::size_t>(r)]);
+      close_block(r, b);
+    }
+    any = false;
+    for (std::int32_t r = 0; r < ranks; ++r) {
+      if (rng.uniform(3) == 0 && (any || r + 1 < ranks)) continue;
+      any = true;
+      const trace::BlockId b = open_block(r, coll_entry);
+      tb.add_collective_recv(coll, b, clock[static_cast<std::size_t>(r)]);
+      close_block(r, b);
+    }
+  }
+  return tb.finish(ranks);
 }
 
 }  // namespace logstruct::order::testing

@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "order_fixtures.hpp"
+#include "random_trace.hpp"
 #include "trace/builder.hpp"
 
 namespace logstruct::order {
@@ -269,6 +273,43 @@ TEST(Stepping, UntracedRecvIsPhaseInitial) {
   LogicalStructure ls = extract_structure(t, Options::charm());
   EXPECT_EQ(ls.local_step[static_cast<std::size_t>(r)], 0);
   EXPECT_EQ(ls.w[static_cast<std::size_t>(r)], 0);
+}
+
+/// Local steps are longest paths: with no ordering conflict, every
+/// event sits one step after the latest in-phase event it must follow —
+/// its predecessor in the chare's sequence, its matching send, and every
+/// send of its collective — or at step 0. Collectives are stepped as
+/// groups, so this pins that a receive still waits for each send.
+TEST(Stepping, CollectiveStepsAreLongestPaths) {
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    SCOPED_TRACE(seed);
+    const trace::Trace t = testing::random_collective_trace(seed, 2, 8, 2);
+    const LogicalStructure ls = extract_structure(t, Options::mpi());
+    ASSERT_EQ(ls.order_conflicts, 0);
+    const auto& phase = ls.phases.phase_of_event;
+    auto step = [&](trace::EventId e) {
+      return ls.local_step[static_cast<std::size_t>(e)];
+    };
+    std::vector<std::int32_t> want(static_cast<std::size_t>(t.num_events()),
+                                   0);
+    auto follow = [&](trace::EventId pred, trace::EventId e) {
+      if (phase[static_cast<std::size_t>(pred)] ==
+          phase[static_cast<std::size_t>(e)])
+        want[static_cast<std::size_t>(e)] =
+            std::max(want[static_cast<std::size_t>(e)], step(pred) + 1);
+    };
+    for (const auto& seq : ls.chare_sequence)
+      for (std::size_t i = 1; i < seq.size(); ++i) follow(seq[i - 1], seq[i]);
+    for (trace::EventId e = 0; e < t.num_events(); ++e)
+      if (t.event(e).kind == trace::EventKind::Recv &&
+          t.event(e).partner != trace::kNone)
+        follow(t.event(e).partner, e);
+    for (const trace::Collective& coll : t.collectives())
+      for (trace::EventId r : coll.recvs)
+        for (trace::EventId s : coll.sends) follow(s, r);
+    for (trace::EventId e = 0; e < t.num_events(); ++e)
+      EXPECT_EQ(step(e), want[static_cast<std::size_t>(e)]) << "event " << e;
+  }
 }
 
 }  // namespace

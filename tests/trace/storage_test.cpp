@@ -10,10 +10,15 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <random>
+#include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
+#include <spawn.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include "trace/builder.hpp"
@@ -229,6 +234,79 @@ TEST(BlockedBackend, FileRoundTrip) {
   EXPECT_EQ(trace_structure_hash(back), trace_structure_hash(m.trace));
   EXPECT_EQ(back.num_events(), m.trace.num_events());
   EXPECT_EQ(back.chare(m.a).name, m.trace.chare(m.a).name);
+  std::remove(path.c_str());
+}
+
+/// Re-run this binary on one test in a fresh process, where no storage
+/// call has read the process defaults yet. The child sees the parent's
+/// environment minus any LOGSTRUCT_* variable, plus `extra`. Returns the
+/// child's exit status (0 = its assertions held).
+int run_fresh_child(const std::string& test, std::vector<std::string> extra) {
+  std::vector<std::string> args = {"/proc/self/exe",
+                                   "--gtest_filter=" + test};
+  std::vector<char*> argv;
+  for (std::string& a : args) argv.push_back(a.data());
+  argv.push_back(nullptr);
+  std::vector<char*> envp;
+  for (char** e = environ; *e != nullptr; ++e)
+    if (std::string_view(*e).rfind("LOGSTRUCT_", 0) != 0) envp.push_back(*e);
+  for (std::string& e : extra) envp.push_back(e.data());
+  envp.push_back(nullptr);
+  pid_t pid = 0;
+  if (posix_spawn(&pid, argv[0], nullptr, nullptr, argv.data(),
+                  envp.data()) != 0)
+    return -1;
+  int status = 0;
+  if (waitpid(pid, &status, 0) != pid) return -1;
+  return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+}
+
+/// Child half of the cache-budget tests: open the file named by
+/// LOGSTRUCT_TEST_LSBLK — after set_default_options() when
+/// LOGSTRUCT_TEST_SET_MB names a budget — and check the budget in force.
+/// Returns false in the parent, which has no such variable.
+bool open_as_budget_child() {
+  const char* path = std::getenv("LOGSTRUCT_TEST_LSBLK");
+  if (path == nullptr) return false;
+  if (const char* mb = std::getenv("LOGSTRUCT_TEST_SET_MB")) {
+    StorageOptions opts;
+    opts.cache_bytes = std::stoull(mb) << 20;
+    set_default_options(opts);
+  }
+  const Trace t = open_blocked_trace(path);
+  EXPECT_GT(t.num_events(), 0);
+  EXPECT_EQ(BlockCache::global().budget(),
+            std::stoull(std::getenv("LOGSTRUCT_TEST_EXPECT_MB")) << 20);
+  return true;
+}
+
+/// A process that only opens .lsblk files still honours
+/// LOGSTRUCT_CACHE_MB.
+TEST(BlockedBackend, OpenAppliesEnvironmentCacheBudget) {
+  if (open_as_budget_child()) return;
+  testing::MiniTrace m = testing::make_mini_trace();
+  const std::string path = temp_path("env_budget");
+  write_blocked_file(m.trace, path, 4096);
+  EXPECT_EQ(run_fresh_child(
+                "BlockedBackend.OpenAppliesEnvironmentCacheBudget",
+                {"LOGSTRUCT_CACHE_MB=3", "LOGSTRUCT_TEST_LSBLK=" + path,
+                 "LOGSTRUCT_TEST_EXPECT_MB=3"}),
+            0);
+  std::remove(path.c_str());
+}
+
+/// An explicit set_default_options() before the open beats the
+/// environment.
+TEST(BlockedBackend, EarlierSetDefaultOptionsBeatsEnvironmentBudget) {
+  if (open_as_budget_child()) return;
+  testing::MiniTrace m = testing::make_mini_trace();
+  const std::string path = temp_path("set_budget");
+  write_blocked_file(m.trace, path, 4096);
+  EXPECT_EQ(run_fresh_child(
+                "BlockedBackend.EarlierSetDefaultOptionsBeatsEnvironmentBudget",
+                {"LOGSTRUCT_CACHE_MB=3", "LOGSTRUCT_TEST_LSBLK=" + path,
+                 "LOGSTRUCT_TEST_SET_MB=5", "LOGSTRUCT_TEST_EXPECT_MB=5"}),
+            0);
   std::remove(path.c_str());
 }
 
