@@ -12,8 +12,8 @@ IncomingDeps::IncomingDeps(const trace::Trace& trace)
 
   // A receive filling exactly one collective slot and nothing else
   // borrows that collective's sends. Anything else with a collective
-  // slot (p2p senders too, or several slots) is "mixed": its rows are
-  // copied into the CSR in table order, p2p prefix first. Traces without
+  // slot (p2p senders too, or several slots) is "mixed": its senders are
+  // copied into the CSR in for_each_dependency order, p2p rows first. Traces without
   // collectives skip all of this (coll_of_ stays empty).
   std::vector<std::uint8_t> mixed;
   bool any_mixed = false;

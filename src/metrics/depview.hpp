@@ -3,11 +3,11 @@
 /// \file depview.hpp
 /// Reverse view over the trace's dependencies: for each receiving event,
 /// the span of events it depends on (its matching send, fan-out origin,
-/// or every send of its collective), in the order the rows of the frozen
-/// dependency table give them. Point-to-point rows are counting-sorted
-/// into a CSR in O(events + p2p rows); a collective receive borrows its
-/// collective's `sends` list from Trace::collectives() instead of copying
-/// |sends| rows per receive. The view therefore must not outlive the
+/// or every send of its collective), in Trace::for_each_dependency()
+/// order. Point-to-point rows are counting-sorted into a CSR in
+/// O(events + p2p rows); a collective receive borrows its collective's
+/// `sends` list from Trace::collectives() instead of copying |sends|
+/// senders per receive. The view therefore must not outlive the
 /// trace it was built from.
 
 #include <cstdint>

@@ -99,10 +99,10 @@ WindowLoads compute_window_loads(const trace::Trace& trace,
   const auto dep_sends = trace.dep_sends();
   const auto dep_recvs = trace.dep_recvs();
 
-  // Collective rows in closed form, per receive at t_r: |sends| messages
+  // Collective pairs in closed form, per receive at t_r: |sends| messages
   // and a transfer wait of sum_s max(0, t_r - t_s) = k * t_r - (sum of
   // the k send times <= t_r), read off the sorted send times' prefix
-  // sums. Integer sums, so the result equals the row-by-row walk.
+  // sums. Integer sums, so the result equals the pair-by-pair walk.
   std::vector<std::int64_t> coll_messages(num_windows, 0);
   std::vector<trace::TimeNs> coll_wait(num_windows, 0);
   {

@@ -30,9 +30,9 @@ void WindowSet::index_members(const trace::Trace& trace,
   }
 
   // Point-to-point rows land in the window of their receive, row-id
-  // sorted; collective rows stay with their collective (deps_of()).
+  // sorted; collectives are groups, not rows (deps_of()).
   const auto recvs = trace.dep_recvs();
-  const auto p2p = static_cast<std::size_t>(trace.num_p2p_dependencies());
+  const std::size_t p2p = recvs.size();
   dep_begin_.assign(num_windows + 1, 0);
   for (std::size_t r = 0; r < p2p; ++r)
     ++dep_begin_[static_cast<std::size_t>(

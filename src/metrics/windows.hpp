@@ -7,8 +7,8 @@
 /// fixed-width wall-clock time bins or the recovered phases of a
 /// PhaseResult — and precomputes, per window, a CSR view of (a) the
 /// events it owns and (b) the point-to-point rows of the frozen
-/// dependency table whose *receive* lands in it. Collective rows are not
-/// indexed: kernels read a collective as one group from
+/// dependency table whose *receive* lands in it. Collectives are not
+/// rows: kernels read a collective as one group from
 /// Trace::collectives(). The time-resolved efficiency kernels
 /// (metrics/efficiency.hpp) iterate these views instead of re-scanning
 /// the whole trace per window; the side-by-side bin-vs-phase comparison
@@ -77,10 +77,10 @@ class WindowSet {
     return csr_span(event_begin_, events_, w);
   }
 
-  /// Point-to-point rows (Trace::num_p2p_dependencies() prefix) of the
-  /// trace's dependency table whose receive is in window w, ascending row
-  /// index. Row r reads back through Trace::dep_sends()[r] /
-  /// dep_recvs()[r] / dep_kinds()[r]. The collective tail is left out.
+  /// Rows of the trace's point-to-point dependency columns whose receive
+  /// is in window w, ascending row index. Row r reads back through
+  /// Trace::dep_sends()[r] / dep_recvs()[r] / dep_kinds()[r]. Collectives
+  /// are groups (Trace::collectives()), not rows.
   [[nodiscard]] std::span<const std::int64_t> deps_of(std::int32_t w) const {
     return csr_span(dep_begin_, deps_, w);
   }

@@ -13,9 +13,9 @@
 /// Ownership rules:
 ///  - set_pg() moves a graph into the context (the "initial" pass does
 ///    this); the context owns it for the rest of the run.
-///  - attach_pg() borrows an externally owned graph — used by the legacy
-///    free-function pass wrappers; the caller keeps ownership and the
-///    graph must outlive the context.
+///  - attach_pg() borrows an externally owned graph — used to run passes
+///    on a standalone graph (tests, benches); the caller keeps ownership
+///    and the graph must outlive the context.
 /// Invalidation rules:
 ///  - leaps()/leap_groups() recompute iff pg().epoch() moved since the
 ///    cached copy; any merge or bulk edge addition moves the epoch.
@@ -56,7 +56,7 @@ class OrderContext {
   /// Take ownership of a freshly built graph (the "initial" pass).
   void set_pg(PartitionGraph&& pg);
 
-  /// Borrow an externally owned graph (legacy free-function wrappers).
+  /// Borrow an externally owned graph (passes run on a standalone graph).
   void attach_pg(PartitionGraph& pg);
 
   // --- epoch-cached derived state --------------------------------------

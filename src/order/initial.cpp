@@ -117,7 +117,7 @@ PartitionGraph build_initial_partitions(const trace::Trace& trace,
 
   // Edge type 1: remote method invocations. Point-to-point rows become
   // edges; each collective becomes one edge group (its sends' partitions
-  // before its recvs' partitions) instead of its sends x recvs rows.
+  // before its recvs' partitions) instead of its sends x recvs pairs.
   trace.for_each_p2p_dependency([&](trace::EventId s, trace::EventId rcv) {
     pg.add_edge(pg.part_of(s), pg.part_of(rcv));
   });
@@ -132,7 +132,8 @@ PartitionGraph build_initial_partitions(const trace::Trace& trace,
   }
   OBS_COUNTER_ADD("order/initial/collective_groups", pg.num_groups());
   OBS_COUNTER_ADD("order/initial/collective_rows_skipped",
-                  trace.num_dependencies() - trace.num_p2p_dependencies());
+                  trace.num_dependencies() -
+                      static_cast<std::int64_t>(trace.dep_sends().size()));
 
   // Edge type 3: SDAG inference. (a) A `when`-triggered execution
   // happened-before the serial it awakened; (b) serial n happened-before

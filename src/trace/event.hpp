@@ -18,11 +18,13 @@ namespace logstruct::trace {
 
 enum class EventKind : std::uint8_t { Send, Recv };
 
-/// Provenance of one row in the flat dependency table (trace.hpp).
+/// Provenance of one control dependency (trace.hpp). Only Match and
+/// Fanout rows are stored; Collective names the (send, recv) pairs that
+/// Trace::for_each_dependency() generates from the collective groups.
 enum class DepKind : std::uint8_t {
   Match = 0,       ///< point-to-point send/recv partner match
   Fanout = 1,      ///< additional receiver of a broadcast send
-  Collective = 2,  ///< cross-product row of a collective's sends x recvs
+  Collective = 2,  ///< one (send, recv) pair of a collective
 };
 
 /// A dependency event: an instantaneous endpoint of a control dependency.

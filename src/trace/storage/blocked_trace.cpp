@@ -11,7 +11,6 @@
 #include "trace/repair.hpp"
 #include "trace/storage/extsort.hpp"
 #include "trace/storage/options.hpp"
-#include "util/check.hpp"
 
 namespace logstruct::trace::storage {
 
@@ -49,6 +48,7 @@ class ByteReader {
   explicit ByteReader(const std::string& blob)
       : p_(blob.data()), end_(blob.data() + blob.size()) {}
   void raw(void* data, std::size_t bytes) {
+    if (bytes == 0) return;  // an empty vector's data() may be null
     if (static_cast<std::size_t>(end_ - p_) < bytes)
       throw std::runtime_error("lsblk: truncated trace metadata");
     std::memcpy(data, p_, bytes);
@@ -386,7 +386,7 @@ void freeze_blocked(Trace& trace, int threads) {
   // Dependency table: every recv naming send s is one row (s, r); the
   // (s, r) sort groups rows by send with the partner (lowest recv id)
   // first — identical to the mem backend's scatter. The CSR begin column
-  // streams alongside; collective cross-product rows follow the prefix.
+  // streams alongside; collectives stay groups in the metadata blob.
   {
     struct Rec {
       EventId send;
@@ -431,16 +431,6 @@ void freeze_blocked(Trace& trace, int threads) {
       writer.append(ColumnId::DepBegin, &count, sizeof(count));
       ++next;
     }
-    for (const Collective& coll : trace.collectives_) {
-      const DepKind kind = DepKind::Collective;
-      for (EventId s : coll.sends) {
-        for (EventId r : coll.recvs) {
-          writer.append(ColumnId::DepSend, &s, sizeof(s));
-          writer.append(ColumnId::DepRecv, &r, sizeof(r));
-          writer.append(ColumnId::DepKind, &kind, sizeof(kind));
-        }
-      }
-    }
   }
 
   writer.finish(serialize_trace_metadata(trace));
@@ -476,9 +466,36 @@ Trace open_blocked_trace(const std::string& path) {
   data->store = std::make_unique<BlockStore>(path);
   deserialize_trace_metadata(data->store->metadata(), trace);
   data->bind_columns();
+
+  // Checksums prove the bytes are what the writer committed, not that the
+  // metadata tables and the columns agree; refuse a file where they do not.
+  const auto csr_fits = [](const std::vector<std::int64_t>& begin,
+                           std::size_t groups, std::size_t rows) {
+    return begin.size() == groups + 1 &&
+           begin.back() == static_cast<std::int64_t>(rows);
+  };
+  const std::size_t chares = trace.chares_.size();
+  const std::size_t events = data->events.size();
+  bool shape_ok =
+      trace.num_procs_ >= 0 &&
+      csr_fits(trace.chare_blocks_begin_, chares, data->chare_blocks.size()) &&
+      csr_fits(trace.chare_events_begin_, chares, data->chare_events.size()) &&
+      csr_fits(trace.proc_blocks_begin_,
+               static_cast<std::size_t>(trace.num_procs_),
+               data->proc_blocks.size()) &&
+      data->block_ev_begin.size() == data->blocks.size() + 1 &&
+      data->dep_begin.size() == events + 1;
+  if (shape_ok) {
+    // The dependency columns hold exactly the point-to-point rows.
+    const auto rows = static_cast<std::size_t>(data->dep_begin.get(events));
+    shape_ok = data->dep_send.size() == rows &&
+               data->dep_recv.size() == rows && data->dep_kind.size() == rows;
+  }
+  if (!shape_ok)
+    throw StorageError(DiagCode::BadHeader,
+                       "lsblk: open '" + path +
+                           "': metadata/column shape mismatch");
   trace.blocked_ = std::move(data);
-  LS_CHECK_MSG(trace.chare_blocks_begin_.size() == trace.chares_.size() + 1,
-               "lsblk: metadata/column shape mismatch");
   return trace;
 }
 
@@ -531,7 +548,7 @@ Trace open_blocked_trace(const std::string& path,
 
   // The metadata blob holds the chare / entry / collective tables; a
   // trace cannot be rebuilt without them. (Under a valid footer the blob
-  // is checksummed, so this only fires on v1 rot or a torn tail.)
+  // is checksummed, so this only fires on a torn tail.)
   Trace meta;
   try {
     deserialize_trace_metadata(store->metadata(), meta);
@@ -600,9 +617,9 @@ Trace open_blocked_trace(const std::string& path,
 }
 
 void write_blocked_file(const Trace& trace, const std::string& path,
-                        std::uint32_t block_bytes, std::uint32_t version) {
+                        std::uint32_t block_bytes) {
   OBS_SPAN(span, "trace/write_blocked_file");
-  BlockStoreWriter writer(path, block_bytes, version);
+  BlockStoreWriter writer(path, block_bytes);
   append_column<Event>(writer, ColumnId::Events, trace.events());
   append_column<SerialBlock>(writer, ColumnId::Blocks, trace.blocks());
   append_column<IdleSpan>(writer, ColumnId::Idles, trace.idles());
@@ -700,19 +717,19 @@ std::uint64_t trace_structure_hash(const Trace& trace) {
     h.i64(s.begin);
     h.i64(s.end);
   }
-  trace.dep_sends().for_each_chunk(
-      [&](const EventId* p, std::size_t n, std::size_t) {
-        for (std::size_t i = 0; i < n; ++i) h.i32(p[i]);
-      });
-  trace.dep_recvs().for_each_chunk(
-      [&](const EventId* p, std::size_t n, std::size_t) {
-        for (std::size_t i = 0; i < n; ++i) h.i32(p[i]);
-      });
+  // Every dependency pair, column by column: all sends, all recvs, all
+  // kinds. Collective pairs come from the groups and hash as the
+  // Collective kind.
+  trace.for_each_dependency([&](EventId s, EventId) { h.i32(s); });
+  trace.for_each_dependency([&](EventId, EventId r) { h.i32(r); });
   trace.dep_kinds().for_each_chunk(
       [&](const DepKind* p, std::size_t n, std::size_t) {
         for (std::size_t i = 0; i < n; ++i)
           h.byte(static_cast<std::uint8_t>(p[i]));
       });
+  const auto rows = static_cast<std::int64_t>(trace.dep_kinds().size());
+  for (std::int64_t i = rows; i < trace.num_dependencies(); ++i)
+    h.byte(static_cast<std::uint8_t>(DepKind::Collective));
   for (BlockId b = 0; b < trace.num_blocks(); ++b) {
     const auto span = trace.events_of_block(b);
     h.u64(span.size());

@@ -135,19 +135,13 @@ class BlockedColumn {
     return {std::shared_ptr<const void>(std::move(buf), base), base, count};
   }
 
-  /// Visit the column as maximal contiguous chunks (one per block).
-  template <typename Fn>
-  void for_each_chunk(Fn&& fn) const {
-    for_each_chunk_in(0, size_, fn);
-  }
-
-  /// Visit [lo, hi) as contiguous chunks that never straddle a block:
+  /// Visit the column as maximal contiguous chunks (one per block):
   /// fn(ptr, count, base_index).
   template <typename Fn>
-  void for_each_chunk_in(std::size_t lo, std::size_t hi, Fn&& fn) const {
-    for (std::size_t base = lo; base < hi;) {
+  void for_each_chunk(Fn&& fn) const {
+    for (std::size_t base = 0; base < size_;) {
       const std::size_t room = per_block_ - base % per_block_;
-      const std::size_t n = room < hi - base ? room : hi - base;
+      const std::size_t n = room < size_ - base ? room : size_ - base;
       PinnedSpan<T> span = pin(base, base + n);
       fn(span.ptr, n, base);
       base += n;

@@ -3,7 +3,7 @@
 /// \file format.hpp
 /// The versioned `.lsblk` on-disk container (docs/FORMATS.md).
 ///
-/// Layout (v2): a fixed header, then data blocks appended in whatever
+/// Layout (v3): a fixed header, then data blocks appended in whatever
 /// order the writer's columns filled them (the paged layout is what lets
 /// a single streaming pass interleave appends to every column with
 /// bounded RAM), then the *tail* — per-column block-offset tables,
@@ -14,19 +14,23 @@
 ///   [block][block]...            raw column data, block_bytes each
 ///                                (a column's last block may be short)
 ///   [offset tables]              u64 file offset per block, per column
-///   [crc tables]                 u32 CRC32C per block, per column (v2)
-///   [directory]                  ColumnDescV2 per column (v2)
+///   [crc tables]                 u32 CRC32C per block, per column
+///   [directory]                  ColumnDesc per column
 ///   [metadata blob]              trace tables that stay RAM-resident
-///   [CommitFooter]               40 B; written + fsynced LAST (v2)
+///   [CommitFooter]               40 B; written + fsynced LAST
 ///
-/// Durability contract (v2): finish() fsyncs the data blocks, then
-/// writes the tail and the patched header and fsyncs again, and only
-/// then writes + fsyncs the footer. A valid footer therefore proves the
-/// whole file is exactly what the writer committed (its tail_crc covers
-/// every tail byte, its header_crc the patched header); a missing or
-/// garbled footer proves a torn write. v1 files (version 1, 24-byte
-/// ColumnDesc, no CRC tables, no footer) remain readable — their
-/// checksum status is "absent", not an error.
+/// Durability contract: finish() fsyncs the data blocks, then writes the
+/// tail and the patched header and fsyncs again, and only then writes +
+/// fsyncs the footer. A valid footer therefore proves the whole file is
+/// exactly what the writer committed (its tail_crc covers every tail
+/// byte, its header_crc the patched header); a missing or garbled footer
+/// proves a torn write.
+///
+/// v3 is the only version written or read. It has the v2 byte layout;
+/// what changed is the content: the dependency columns hold only the
+/// point-to-point rows (DepBegin[events] of them), and collectives live
+/// only in the metadata blob, so a v2 reader would silently miss their
+/// dependencies. v1 and v2 files are refused as unsupported.
 ///
 /// Every integer is little-endian; the container is written and read on
 /// the same host class (this is a working-set spill format first, an
@@ -37,8 +41,7 @@
 namespace logstruct::trace::storage {
 
 inline constexpr std::uint32_t kMagic = 0x4b4c4253u;  // "SBLK"
-inline constexpr std::uint32_t kFormatVersion = 2;
-inline constexpr std::uint32_t kFormatVersionV1 = 1;
+inline constexpr std::uint32_t kFormatVersion = 3;
 
 /// Footer magic "SBLKCMT2": distinct from kMagic so a footer read from a
 /// wild offset can never be mistaken for a header (and vice versa).
@@ -49,10 +52,10 @@ enum class ColumnId : std::uint32_t {
   Events = 0,        ///< trace::Event, frozen id order
   Blocks = 1,        ///< trace::SerialBlock (POD), frozen id order
   Idles = 2,         ///< trace::IdleSpan, recorded order
-  DepSend = 3,       ///< EventId, dep-table row order
+  DepSend = 3,       ///< EventId, p2p dependency rows, grouped by send
   DepRecv = 4,       ///< EventId, aligned with DepSend
   DepKind = 5,       ///< trace::DepKind, aligned with DepSend
-  DepBegin = 6,      ///< i32 CSR index over the p2p prefix (events+1)
+  DepBegin = 6,      ///< i32 CSR index over the Dep* rows (events+1)
   BlockEvents = 7,   ///< EventId, grouped by block, (time, id) order
   BlockEvBegin = 8,  ///< i64 CSR index over BlockEvents (blocks+1)
   ChareEvents = 9,   ///< EventId, grouped by chare, (time, id) order
@@ -72,29 +75,20 @@ struct FileHeader {
 };
 static_assert(sizeof(FileHeader) == 40, "on-disk header layout");
 
-/// One v1 directory entry. The block-offset table for the column lives
-/// at `offsets_offset`: ceil(byte_size / payload) u64 file positions.
-struct ColumnDesc {
-  std::uint32_t id = 0;
-  std::uint32_t elem_bytes = 0;
-  std::uint64_t byte_size = 0;
-  std::uint64_t offsets_offset = 0;
-};
-static_assert(sizeof(ColumnDesc) == 24, "on-disk v1 directory layout");
-
-/// One v2 directory entry: v1 plus the column's CRC32C table (one u32
-/// per block, same count as the offset table; 0 when the column is
+/// One directory entry. The block-offset table for the column lives at
+/// `offsets_offset` (ceil(byte_size / payload) u64 file positions), its
+/// CRC32C table at `crcs_offset` (one u32 per block; 0 when the column is
 /// empty).
-struct ColumnDescV2 {
+struct ColumnDesc {
   std::uint32_t id = 0;
   std::uint32_t elem_bytes = 0;
   std::uint64_t byte_size = 0;
   std::uint64_t offsets_offset = 0;
   std::uint64_t crcs_offset = 0;
 };
-static_assert(sizeof(ColumnDescV2) == 32, "on-disk v2 directory layout");
+static_assert(sizeof(ColumnDesc) == 32, "on-disk directory layout");
 
-/// The v2 commit record, at the very end of the file. Only written (and
+/// The commit record, at the very end of the file. Only written (and
 /// fsynced) after every byte it vouches for is durable.
 struct CommitFooter {
   std::uint64_t magic = kFooterMagic;

@@ -227,11 +227,11 @@ void Trace::freeze_mem(int threads) {
 
   // Flat dependency table, rebuilt entirely from the recv-side partner
   // fields: every recv naming send s is one row of s, in recv-id order.
-  // The partner recv is always the lowest id (first matched), so the p2p
-  // prefix comes out grouped by send with the Match row first and the
-  // fanout rows after — the historical enumeration order exactly.
-  // dep_begin_ indexes the prefix CSR-style so receivers() is a span
-  // lookup; collective cross-product rows follow.
+  // The partner recv is always the lowest id (first matched), so rows come
+  // out grouped by send with the Match row first and the fanout rows
+  // after — the historical enumeration order exactly. dep_begin_ indexes
+  // them CSR-style so receivers() is a span lookup. Collectives are not
+  // expanded here: they stay groups (collectives_).
   dep_begin_.assign(num_events + 1, 0);
   for (const Event& e : events_) {
     if (e.kind == EventKind::Recv && e.partner != kNone)
@@ -240,15 +240,10 @@ void Trace::freeze_mem(int threads) {
   for (std::size_t i = 1; i <= num_events; ++i)
     dep_begin_[i] += dep_begin_[i - 1];
 
-  std::int64_t coll_rows = 0;
-  for (const Collective& coll : collectives_)
-    coll_rows += static_cast<std::int64_t>(coll.sends.size()) *
-                 static_cast<std::int64_t>(coll.recvs.size());
-  const auto p2p_rows = static_cast<std::int64_t>(dep_begin_[num_events]);
-  dep_send_.assign(static_cast<std::size_t>(p2p_rows + coll_rows), 0);
-  dep_recv_.assign(static_cast<std::size_t>(p2p_rows + coll_rows), 0);
-  dep_kind_.assign(static_cast<std::size_t>(p2p_rows + coll_rows),
-                   DepKind::Match);
+  const auto rows = static_cast<std::size_t>(dep_begin_[num_events]);
+  dep_send_.assign(rows, 0);
+  dep_recv_.assign(rows, 0);
+  dep_kind_.assign(rows, DepKind::Match);
   {
     std::vector<std::int32_t> cur(dep_begin_.begin(), dep_begin_.end() - 1);
     for (std::size_t r = 0; r < num_events; ++r) {
@@ -261,19 +256,6 @@ void Trace::freeze_mem(int threads) {
       dep_kind_[at] = events_[s].partner == static_cast<EventId>(r)
                           ? DepKind::Match
                           : DepKind::Fanout;
-    }
-  }
-  // Collective cross-product rows follow the CSR prefix; serial, they
-  // are a small tail.
-  auto at = static_cast<std::size_t>(p2p_rows);
-  for (const Collective& coll : collectives_) {
-    for (EventId s : coll.sends) {
-      for (EventId r : coll.recvs) {
-        dep_send_[at] = s;
-        dep_recv_[at] = r;
-        dep_kind_[at] = DepKind::Collective;
-        ++at;
-      }
     }
   }
 

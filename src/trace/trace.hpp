@@ -46,8 +46,7 @@ namespace storage {
 void freeze_blocked(Trace& trace, int threads);
 Trace open_blocked_trace(const std::string& path);
 void write_blocked_file(const Trace& trace, const std::string& path,
-                        std::uint32_t block_bytes,
-                        std::uint32_t version = kFormatVersion);
+                        std::uint32_t block_bytes);
 std::string serialize_trace_metadata(const Trace& trace);
 void deserialize_trace_metadata(const std::string& blob, Trace& trace);
 std::uint64_t trace_structure_hash(const Trace& trace);
@@ -130,20 +129,20 @@ class Trace {
   [[nodiscard]] storage::PinnedSpan<EventId> receivers(EventId send) const;
 
   // --- flat dependency table (frozen; SoA) ----------------------------
-  /// Number of rows: one per point-to-point match, broadcast fan-out
-  /// receiver, and collective sends x recvs pair.
+  // The columns hold the point-to-point rows only: one per match and per
+  // broadcast fan-out receiver, grouped by send. Collectives are stored
+  // once, as their groups (collectives()).
+
+  /// Number of traced control dependencies: the column rows plus each
+  /// collective's |sends| x |recvs| pairs.
   [[nodiscard]] std::int64_t num_dependencies() const {
-    return static_cast<std::int64_t>(blocked_ ? blocked_->dep_send.size()
-                                              : dep_send_.size());
+    std::int64_t n = static_cast<std::int64_t>(dep_sends().size());
+    for (const Collective& c : collectives_)
+      n += static_cast<std::int64_t>(c.sends.size()) *
+           static_cast<std::int64_t>(c.recvs.size());
+    return n;
   }
-  /// Rows of the point-to-point prefix (matches and broadcast fan-outs):
-  /// rows [0, num_p2p_dependencies()) of the table. The collective
-  /// cross-product tail follows; consumers that carry collectives as
-  /// groups (collectives()) walk only this prefix.
-  [[nodiscard]] std::int64_t num_p2p_dependencies() const {
-    return dep_begin_at(static_cast<std::size_t>(num_events()));
-  }
-  /// Column of sending event ids, one per dependency row.
+  /// Column of sending event ids, one per point-to-point row.
   [[nodiscard]] storage::ColumnView<EventId> dep_sends() const {
     if (blocked_) return storage::ColumnView<EventId>(&blocked_->dep_send);
     return {dep_send_.data(), dep_send_.size()};
@@ -153,29 +152,44 @@ class Trace {
     if (blocked_) return storage::ColumnView<EventId>(&blocked_->dep_recv);
     return {dep_recv_.data(), dep_recv_.size()};
   }
-  /// Column of row provenance kinds, aligned with dep_sends().
+  /// Column of row provenance kinds (Match or Fanout), aligned with
+  /// dep_sends().
   [[nodiscard]] storage::ColumnView<DepKind> dep_kinds() const {
     if (blocked_) return storage::ColumnView<DepKind>(&blocked_->dep_kind);
     return {dep_kind_.data(), dep_kind_.size()};
   }
 
-  /// Invoke fn(send_event, recv_event) for every traced control dependency:
-  /// point-to-point matches, broadcast fan-outs, and the cross product of
-  /// each collective's sends x recvs. Rows stream from the flat table
-  /// (chunk-at-a-time under the blocked backend), so the callback is
-  /// statically dispatched (no std::function).
-  template <typename Fn>
-  void for_each_dependency(Fn&& fn) const {
-    for_each_dependency_row(0, static_cast<std::size_t>(num_dependencies()),
-                            fn);
-  }
-
-  /// for_each_dependency() restricted to the point-to-point prefix, in
-  /// row order; collectives are left to the caller (collectives()).
+  /// Invoke fn(send, recv) for every column row, in row order; chunk-at-
+  /// a-time under the blocked backend. Collectives are left to the
+  /// caller (collectives()).
   template <typename Fn>
   void for_each_p2p_dependency(Fn&& fn) const {
-    for_each_dependency_row(
-        0, static_cast<std::size_t>(num_p2p_dependencies()), fn);
+    if (!blocked_) {
+      const EventId* send = dep_send_.data();
+      const EventId* recv = dep_recv_.data();
+      for (std::size_t i = 0; i < dep_send_.size(); ++i) fn(send[i], recv[i]);
+      return;
+    }
+    const storage::BlockedColumn<EventId>& recvs = blocked_->dep_recv;
+    blocked_->dep_send.for_each_chunk(
+        [&](const EventId* send, std::size_t n, std::size_t base) {
+          storage::PinnedSpan<EventId> recv = recvs.pin(base, base + n);
+          for (std::size_t i = 0; i < n; ++i) fn(send[i], recv[i]);
+        });
+  }
+
+  /// Invoke fn(send_event, recv_event) for every traced control
+  /// dependency, num_dependencies() calls: the point-to-point rows first,
+  /// then for each collective in order, every (s, r) of its sends x recvs
+  /// (sends outer). The collective pairs are generated from the groups,
+  /// never stored. The callback is statically dispatched (no
+  /// std::function).
+  template <typename Fn>
+  void for_each_dependency(Fn&& fn) const {
+    for_each_p2p_dependency(fn);
+    for (const Collective& c : collectives_)
+      for (EventId s : c.sends)
+        for (EventId r : c.recvs) fn(s, r);
   }
 
   /// Blocks of a chare in begin-time order.
@@ -256,8 +270,7 @@ class Trace {
   friend Trace storage::open_blocked_trace(const std::string& path);
   friend void storage::write_blocked_file(const Trace& trace,
                                           const std::string& path,
-                                          std::uint32_t block_bytes,
-                                          std::uint32_t version);
+                                          std::uint32_t block_bytes);
   friend std::string storage::serialize_trace_metadata(const Trace& trace);
   friend void storage::deserialize_trace_metadata(const std::string& blob,
                                                   Trace& trace);
@@ -272,25 +285,6 @@ class Trace {
 
   /// The historical all-vector freeze (mem backend).
   void freeze_mem(int threads);
-
-  /// Rows [lo, hi) of the dependency table as fn(send, recv); block-
-  /// granular chunks under the blocked backend.
-  template <typename Fn>
-  void for_each_dependency_row(std::size_t lo, std::size_t hi,
-                               Fn&& fn) const {
-    if (!blocked_) {
-      const EventId* send = dep_send_.data();
-      const EventId* recv = dep_recv_.data();
-      for (std::size_t i = lo; i < hi; ++i) fn(send[i], recv[i]);
-      return;
-    }
-    const storage::BlockedColumn<EventId>& recvs = blocked_->dep_recv;
-    blocked_->dep_send.for_each_chunk_in(
-        lo, hi, [&](const EventId* send, std::size_t n, std::size_t base) {
-          storage::PinnedSpan<EventId> recv = recvs.pin(base, base + n);
-          for (std::size_t i = 0; i < n; ++i) fn(send[i], recv[i]);
-        });
-  }
 
   [[nodiscard]] std::int32_t dep_begin_at(std::size_t i) const {
     if (blocked_) [[unlikely]] return dep_begin_blocked(i);
@@ -348,11 +342,10 @@ class Trace {
   std::vector<EventId> block_events_;
   std::vector<std::int64_t> block_ev_begin_;  ///< blocks + 1
 
-  // Flat dependency table. The point-to-point prefix is grouped by send
-  // id (partner row first, then fanout rows in recv-id order), so
+  // Flat dependency table, point-to-point rows only, grouped by send id
+  // (partner row first, then fanout rows in recv-id order), so
   // dep_begin_ is a CSR index over it:
   // receivers(s) = dep_recv_[dep_begin_[s]..dep_begin_[s+1]).
-  // Collective cross-product rows follow the p2p prefix.
   std::vector<EventId> dep_send_;
   std::vector<EventId> dep_recv_;
   std::vector<DepKind> dep_kind_;

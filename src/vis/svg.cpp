@@ -83,22 +83,24 @@ const char* arc_stroke(trace::DepKind kind) {
   return "#888";
 }
 
-/// Message arcs straight off the frozen dependency table: one line per
-/// row, send endpoint to receive endpoint, colored by row kind. The
-/// coordinate of an event is supplied by the caller (step space or time
-/// space), so both views share the loop.
+/// Message arcs for every traced dependency (Trace::for_each_dependency):
+/// one line per (send, recv), colored by kind. The point-to-point rows
+/// come first and carry their stored kind; every later pair belongs to a
+/// collective. The coordinate of an event is supplied by the caller (step
+/// space or time space), so both views share the loop.
 template <typename XOf, typename YOf>
 void message_arcs(std::ostringstream& os, const trace::Trace& trace,
                   XOf&& x_of, YOf&& y_of) {
-  const auto sends = trace.dep_sends();
-  const auto recvs = trace.dep_recvs();
   const auto kinds = trace.dep_kinds();
-  for (std::size_t i = 0; i < sends.size(); ++i) {
-    os << "<line x1=\"" << x_of(sends[i]) << "\" y1=\"" << y_of(sends[i])
-       << "\" x2=\"" << x_of(recvs[i]) << "\" y2=\"" << y_of(recvs[i])
-       << "\" stroke=\"" << arc_stroke(kinds[i])
-       << "\" stroke-width=\"0.6\" opacity=\"0.6\"/>\n";
-  }
+  std::size_t row = 0;
+  trace.for_each_dependency([&](trace::EventId s, trace::EventId r) {
+    const trace::DepKind kind =
+        row < kinds.size() ? kinds[row] : trace::DepKind::Collective;
+    ++row;
+    os << "<line x1=\"" << x_of(s) << "\" y1=\"" << y_of(s) << "\" x2=\""
+       << x_of(r) << "\" y2=\"" << y_of(r) << "\" stroke=\""
+       << arc_stroke(kind) << "\" stroke-width=\"0.6\" opacity=\"0.6\"/>\n";
+  });
 }
 
 }  // namespace

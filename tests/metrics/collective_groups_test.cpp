@@ -1,10 +1,10 @@
 /// The metric layer reads each MPI collective as one group (its sends
-/// and recvs lists) instead of walking its sends x recvs rows of the
-/// flat dependency table. These property tests rebuild every quantity
-/// the groups shortcut — IncomingDeps sender lists and binding senders,
-/// per-window message counts and transfer wait — by brute force over the
-/// dependency rows, on random traces whose collective sends and recvs
-/// sit in different serial blocks, under both storage backends.
+/// and recvs lists) instead of walking its sends x recvs pairs. These
+/// property tests rebuild every quantity the groups shortcut —
+/// IncomingDeps sender lists and binding senders, per-window message
+/// counts and transfer wait — by brute force over every dependency pair
+/// (Trace::for_each_dependency), on random traces whose collective sends
+/// and recvs sit in different serial blocks, under both storage backends.
 
 #include <gtest/gtest.h>
 
@@ -52,8 +52,7 @@ trace::Trace with_mixed_collective(const trace::Trace& t) {
   return trace::read_trace(in);
 }
 
-/// Senders of every event, straight from the dependency rows in row
-/// order — what IncomingDeps materialized before collectives were groups.
+/// Senders of every event, one per dependency pair, in pair order.
 std::vector<std::vector<trace::EventId>> brute_senders(const trace::Trace& t) {
   std::vector<std::vector<trace::EventId>> out(
       static_cast<std::size_t>(t.num_events()));
@@ -67,14 +66,9 @@ void expect_groups_match_rows(const trace::Trace& t) {
   ASSERT_FALSE(t.collectives().empty());
   const auto rows = brute_senders(t);
 
-  // The p2p prefix is exactly the rows before the collective tail.
-  std::int64_t p2p = 0;
-  t.for_each_p2p_dependency([&](trace::EventId, trace::EventId) { ++p2p; });
-  EXPECT_EQ(p2p, t.num_p2p_dependencies());
-  const auto kinds = t.dep_kinds();
-  for (std::size_t i = 0; i < kinds.size(); ++i)
-    EXPECT_EQ(kinds[i] == trace::DepKind::Collective,
-              static_cast<std::int64_t>(i) >= p2p);
+  // Collectives are stored only as groups: no column row is one.
+  for (const trace::DepKind kind : t.dep_kinds())
+    EXPECT_NE(kind, trace::DepKind::Collective);
 
   const IncomingDeps deps(t);
   for (trace::EventId e = 0; e < t.num_events(); ++e) {
@@ -114,8 +108,8 @@ TEST(CollectiveGroups, MatchDependencyRowsOnMem) {
   }
 }
 
-/// 4 KiB storage blocks put the p2p prefix and the collective tail of the
-/// dependency columns in different blocks, and split each across several.
+/// 4 KiB storage blocks split the point-to-point dependency columns
+/// across several blocks.
 TEST(CollectiveGroups, MatchDependencyRowsOnBlocked) {
   trace::storage::StorageOptions opts = trace::storage::default_options();
   opts.kind = trace::storage::BackendKind::Blocked;
@@ -127,7 +121,7 @@ TEST(CollectiveGroups, MatchDependencyRowsOnBlocked) {
     const trace::Trace t =
         order::testing::random_collective_trace(seed, 24, 16, 12);
     ASSERT_EQ(t.storage_backend(), trace::storage::BackendKind::Blocked);
-    ASSERT_GT(t.num_p2p_dependencies(), 4096 / sizeof(trace::EventId));
+    ASSERT_GT(t.dep_sends().size(), 4096 / sizeof(trace::EventId));
     expect_groups_match_rows(t);
     expect_groups_match_rows(with_mixed_collective(t));
   }

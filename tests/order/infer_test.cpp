@@ -81,8 +81,9 @@ TEST(Infer, CheckDetectsLeapViolation) {
   EXPECT_FALSE(check_leap_property(pg));
 
   // Enforcement with leap_merge merges them (same kind, same leap).
-  PartitionOptions opts;
-  enforce_leap_property(pg, opts);
+  OrderContext ctx(t, Options{});
+  ctx.attach_pg(pg);
+  enforce_leap_property(ctx);
   EXPECT_TRUE(check_leap_property(pg));
   EXPECT_EQ(pg.num_partitions(), 1);
 }
@@ -100,9 +101,11 @@ TEST(Infer, EnforcementWithoutMergeAddsOrderEdge) {
   trace::Trace t = tb.finish(1);
 
   PartitionGraph pg = build_initial_partitions(t, PartitionOptions{});
-  PartitionOptions opts;
-  opts.leap_merge = false;  // Fig. 17 ablation path
-  enforce_leap_property(pg, opts);
+  Options opts;
+  opts.partition.leap_merge = false;  // Fig. 17 ablation path
+  OrderContext ctx(t, opts);
+  ctx.attach_pg(pg);
+  enforce_leap_property(ctx);
   EXPECT_TRUE(check_leap_property(pg));
   EXPECT_EQ(pg.num_partitions(), 2);
   // Ordered by physical time of the initial sources: s1's partition first.

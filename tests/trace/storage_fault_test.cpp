@@ -1,6 +1,6 @@
 /// Fault-injection tests for the crash-safe storage layer: the FaultSpec
 /// grammar, the deterministic FaultyIoEngine, the retry/backoff policy in
-/// pread_all/pwrite_all, and the end-to-end contract of the `.lsblk` v2
+/// pread_all/pwrite_all, and the end-to-end contract of the `.lsblk`
 /// container — every injected fault resolves to exactly one of
 /// {transparent retry success, quarantine with provenance, clean
 /// structured refusal}; never a crash, never silently wrong data.
@@ -15,6 +15,7 @@
 #include <fcntl.h>
 #include <unistd.h>
 
+#include <cstddef>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -264,13 +265,12 @@ struct CleanContainer {
 
 /// One mini-trace container written with the system engine (4 KiB blocks
 /// force several blocks per primary column).
-CleanContainer make_clean(const char* tag,
-                          std::uint32_t version = kFormatVersion) {
+CleanContainer make_clean(const char* tag) {
   CleanContainer c;
   c.path = temp_path(tag);
   testing::MiniTrace m = testing::make_mini_trace();
   c.hash = trace_structure_hash(m.trace);
-  write_blocked_file(m.trace, c.path, 4096, version);
+  write_blocked_file(m.trace, c.path, 4096);
   c.image = read_file(c.path);
   BlockStore store(c.path);
   c.end_of_data = data_end(store);
@@ -494,36 +494,102 @@ TEST(StorageFault, QuarantineFailsFastWithProvenance) {
   std::remove(clean.path.c_str());
 }
 
-TEST(StorageFault, V1ContainersStayReadable) {
-  testing::MiniTrace m = testing::make_mini_trace();
-  const std::uint64_t hash = trace_structure_hash(m.trace);
-  const std::string path = temp_path("v1");
-  write_blocked_file(m.trace, path, 4096, kFormatVersionV1);
-
-  // Strict open: v1 is not an error, just checksum-less.
-  {
-    BlockStore store(path);
-    EXPECT_EQ(store.version(), kFormatVersionV1);
-    EXPECT_FALSE(store.checksums_present());
-    EXPECT_FALSE(store.footer_valid());
-    bool saw_block = false;
-    for (std::uint32_t c = 0; c < kNumColumns; ++c) {
-      const auto col = static_cast<ColumnId>(c);
-      if (store.num_blocks(col) == 0) continue;
-      saw_block = true;
-      EXPECT_EQ(store.verify_block(col, 0), BlockStatus::ChecksumAbsent);
+TEST(StorageFault, OlderFormatVersionsAreRefused) {
+  const CleanContainer clean = make_clean("old_version");
+  for (const std::uint32_t version : {1u, 2u}) {
+    std::string image = clean.image;
+    std::memcpy(image.data() + offsetof(FileHeader, version), &version,
+                sizeof(version));
+    const std::string path = temp_path("old_version_rt");
+    write_file(path, image);
+    try {
+      (void)open_blocked_trace(path);
+      ADD_FAILURE() << "v" << version << " container opened";
+    } catch (const StorageError& e) {
+      EXPECT_EQ(e.code(), DiagCode::BadHeader);
+      EXPECT_NE(std::string(e.what()).find("unsupported version"),
+                std::string::npos)
+          << e.what();
     }
-    EXPECT_TRUE(saw_block);
+    std::remove(path.c_str());
   }
-  EXPECT_EQ(trace_structure_hash(open_blocked_trace(path)), hash);
+  std::remove(clean.path.c_str());
+}
 
-  // Recovering open: an intact v1 file is served clean, no diagnostics.
+/// Copy the committed container `from` to `to` through BlockStoreWriter,
+/// column by column, appending `extra_dep_sends` more DepSend rows and
+/// committing `metadata` in place of the original blob. The result is a
+/// fully checksummed, committed container whose content disagrees with
+/// itself.
+void rewrite_container(const std::string& from, const std::string& to,
+                       int extra_dep_sends, const std::string& metadata) {
+  const BlockStore src(from);
+  BlockStoreWriter writer(to, src.block_bytes());
+  std::vector<char> block(src.block_bytes());
+  for (std::uint32_t c = 0; c < kNumColumns; ++c) {
+    const auto col = static_cast<ColumnId>(c);
+    if (src.column_elem_bytes(col) == 0) continue;
+    writer.set_elem_bytes(col, src.column_elem_bytes(col));
+    for (std::uint32_t b = 0; b < src.num_blocks(col); ++b) {
+      src.read_block(col, b, block.data());
+      writer.append(col, block.data(), src.block_size(col, b));
+    }
+  }
+  for (int i = 0; i < extra_dep_sends; ++i) {
+    const EventId send = 0;
+    writer.append(ColumnId::DepSend, &send, sizeof(send));
+  }
+  writer.finish(metadata);
+}
+
+void expect_shape_refused(const std::string& path) {
+  try {
+    (void)open_blocked_trace(path);
+    ADD_FAILURE() << "inconsistent container opened";
+  } catch (const StorageError& e) {
+    EXPECT_EQ(e.code(), DiagCode::BadHeader);
+    EXPECT_NE(std::string(e.what()).find("shape mismatch"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(StorageFault, ExtraDependencyRowIsRefused) {
+  const CleanContainer clean = make_clean("extra_dep");
+  const std::string path = temp_path("extra_dep_rt");
+  rewrite_container(clean.path, path, 1, BlockStore(clean.path).metadata());
+  expect_shape_refused(path);
+
+  // The recovering open rebuilds the derived columns from the primaries,
+  // so the same file salvages to the original trace.
   RecoveryReport report;
-  Trace t =
+  const Trace t =
       open_blocked_trace(path, StorageOptions::recovering(), report);
-  EXPECT_TRUE(report.empty()) << report.to_string();
-  EXPECT_EQ(trace_structure_hash(t), hash);
+  EXPECT_EQ(report.count(DiagCode::BadHeader), 1) << report.to_string();
+  EXPECT_EQ(trace_structure_hash(t), clean.hash);
   std::remove(path.c_str());
+  std::remove(clean.path.c_str());
+}
+
+TEST(StorageFault, MetadataChareCountMismatchIsRefused) {
+  const CleanContainer clean = make_clean("chare_count");
+  // The metadata of another trace: four chares of one event each, where
+  // the columns hold the mini trace's three chares and six events.
+  TraceBuilder tb;
+  for (int i = 0; i < 4; ++i) {
+    const ChareId c = tb.add_chare("c" + std::to_string(i));
+    const BlockId b = tb.begin_block(c, 0, tb.add_entry("e"), i * 10);
+    tb.add_send(b, i * 10);
+    tb.end_block(b, i * 10 + 5);
+  }
+  const Trace other = tb.finish(2);
+  ASSERT_EQ(other.num_chares(),
+            testing::make_mini_trace().trace.num_chares() + 1);
+  const std::string path = temp_path("chare_count_rt");
+  rewrite_container(clean.path, path, 0, serialize_trace_metadata(other));
+  expect_shape_refused(path);
+  std::remove(path.c_str());
+  std::remove(clean.path.c_str());
 }
 
 TEST(StorageFault, WriterSurfacesOpenFailureWithPath) {

@@ -21,6 +21,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include "apps/lassen.hpp"
 #include "trace/builder.hpp"
 #include "trace/storage/block_cache.hpp"
 #include "trace/storage/block_store.hpp"
@@ -221,6 +222,91 @@ TEST(BlockedBackend, MatchesMemBackend) {
   auto rb = blk.trace.receivers(blk.s_ab);
   ASSERT_EQ(rm.size(), rb.size());
   for (std::size_t i = 0; i < rm.size(); ++i) EXPECT_EQ(rm[i], rb[i]);
+}
+
+struct Dep {
+  EventId send;
+  EventId recv;
+  DepKind kind;
+  bool operator==(const Dep&) const = default;
+};
+
+/// Every traced dependency from first principles: the matched recvs of
+/// each send (sends ascending, recvs ascending, the partner a Match and
+/// the rest Fanout), then each collective's sends x recvs, sends outer.
+std::vector<Dep> brute_dependencies(const Trace& t) {
+  std::vector<std::vector<EventId>> recvs_of(
+      static_cast<std::size_t>(t.num_events()));
+  for (EventId r = 0; r < t.num_events(); ++r) {
+    const Event e = t.event(r);
+    if (e.kind == EventKind::Recv && e.partner != kNone)
+      recvs_of[static_cast<std::size_t>(e.partner)].push_back(r);
+  }
+  std::vector<Dep> out;
+  for (EventId s = 0; s < t.num_events(); ++s)
+    for (EventId r : recvs_of[static_cast<std::size_t>(s)])
+      out.push_back({s, r,
+                     t.event(s).partner == r ? DepKind::Match
+                                             : DepKind::Fanout});
+  for (const Collective& c : t.collectives())
+    for (EventId s : c.sends)
+      for (EventId r : c.recvs) out.push_back({s, r, DepKind::Collective});
+  return out;
+}
+
+/// for_each_dependency yields the brute-force sequence, and the stored
+/// columns hold exactly its point-to-point rows with their kinds.
+void expect_dependencies_match(const Trace& t) {
+  const std::vector<Dep> want = brute_dependencies(t);
+  const auto kinds = t.dep_kinds();
+  std::vector<Dep> got;
+  t.for_each_dependency([&](EventId s, EventId r) {
+    const std::size_t row = got.size();
+    got.push_back(
+        {s, r, row < kinds.size() ? kinds[row] : DepKind::Collective});
+  });
+  EXPECT_TRUE(got == want);
+  EXPECT_EQ(t.num_dependencies(), static_cast<std::int64_t>(want.size()));
+  const auto p2p = static_cast<std::size_t>(
+      std::count_if(want.begin(), want.end(), [](const Dep& d) {
+        return d.kind != DepKind::Collective;
+      }));
+  EXPECT_EQ(t.dep_sends().size(), p2p);
+  EXPECT_EQ(t.dep_recvs().size(), p2p);
+  EXPECT_EQ(kinds.size(), p2p);
+}
+
+apps::LassenConfig lassen_config(std::int32_t side, std::int32_t iterations) {
+  apps::LassenConfig cfg;
+  cfg.chares_x = side;
+  cfg.chares_y = side;
+  cfg.iterations = iterations;
+  return cfg;
+}
+
+TEST(DependencyTable, CollectivesExpandFromGroupsOnMem) {
+  expect_dependencies_match(testing::make_mini_trace().trace);
+  // The Charm++ flavor has broadcast fan-out rows, the MPI one collectives.
+  const Trace charm = apps::run_lassen_charm(lassen_config(2, 2));
+  const auto kinds = charm.dep_kinds();
+  ASSERT_GT(std::count(kinds.begin(), kinds.end(), DepKind::Fanout), 0);
+  expect_dependencies_match(charm);
+  const Trace mpi = apps::run_lassen_mpi(lassen_config(2, 2));
+  ASSERT_FALSE(mpi.collectives().empty());
+  expect_dependencies_match(mpi);
+}
+
+/// 4 KiB blocks split the point-to-point columns across several blocks.
+TEST(DependencyTable, CollectivesExpandFromGroupsOnBlocked) {
+  StorageOptions opts = default_options();
+  opts.kind = BackendKind::Blocked;
+  opts.block_bytes = 4096;
+  ScopedStorageOptions scope(opts);
+  const Trace t = apps::run_lassen_mpi(lassen_config(8, 8));
+  ASSERT_EQ(t.storage_backend(), BackendKind::Blocked);
+  ASSERT_FALSE(t.collectives().empty());
+  ASSERT_GT(t.dep_sends().size(), 4096 / sizeof(EventId));
+  expect_dependencies_match(t);
 }
 
 /// write_blocked_file + open_blocked_trace round-trips the hash, from a

@@ -4,6 +4,7 @@
 #include <sstream>
 
 #include "apps/jacobi2d.hpp"
+#include "apps/lassen.hpp"
 #include "metrics/duration.hpp"
 #include "order/stepping.hpp"
 #include "vis/ascii.hpp"
@@ -149,29 +150,52 @@ TEST(Svg, MetricColoringUsesRamp) {
   EXPECT_NE(svg.find("#ffffff"), std::string::npos);
 }
 
-TEST(Svg, MessageArcsDrawOneLinePerDependencyRow) {
-  trace::Trace t;
-  auto ls = small_jacobi(t);
-  auto count_lines = [](const std::string& svg) {
-    std::size_t lines = 0;
-    for (std::size_t pos = 0;
-         (pos = svg.find("<line", pos)) != std::string::npos; ++pos)
-      ++lines;
-    return lines;
-  };
+std::size_t count_of(const std::string& svg, const std::string& what) {
+  std::size_t n = 0;
+  for (std::size_t pos = 0; (pos = svg.find(what, pos)) != std::string::npos;
+       ++pos)
+    ++n;
+  return n;
+}
+
+/// Exactly one arc per traced dependency, in both views; each collective
+/// (send, recv) pair is one of them, in the collective color.
+void expect_one_arc_per_dependency(const trace::Trace& t,
+                                   const order::LogicalStructure& ls) {
   // Off by default: only the lane divider.
-  std::size_t base_logical = count_lines(render_logical_svg(t, ls));
-  std::size_t base_physical = count_lines(render_physical_svg(t, ls));
+  std::size_t base_logical = count_of(render_logical_svg(t, ls), "<line");
+  std::size_t base_physical = count_of(render_physical_svg(t, ls), "<line");
   EXPECT_LE(base_logical, 1u);
 
   SvgOptions opts;
   opts.draw_messages = true;
-  // Exactly one arc per dependency-table row, in both views.
-  EXPECT_EQ(count_lines(render_logical_svg(t, ls, opts)),
-            base_logical + static_cast<std::size_t>(t.num_dependencies()));
-  EXPECT_EQ(count_lines(render_physical_svg(t, ls, opts)),
-            base_physical + static_cast<std::size_t>(t.num_dependencies()));
-  EXPECT_GT(t.num_dependencies(), 0);
+  const std::string logical = render_logical_svg(t, ls, opts);
+  const std::string physical = render_physical_svg(t, ls, opts);
+  const auto deps = static_cast<std::size_t>(t.num_dependencies());
+  EXPECT_EQ(count_of(logical, "<line"), base_logical + deps);
+  EXPECT_EQ(count_of(physical, "<line"), base_physical + deps);
+  EXPECT_GT(deps, 0u);
+
+  std::size_t pairs = 0;
+  for (const trace::Collective& c : t.collectives())
+    pairs += c.sends.size() * c.recvs.size();
+  EXPECT_EQ(count_of(logical, "stroke=\"#e08020\""), pairs);
+  EXPECT_EQ(count_of(physical, "stroke=\"#e08020\""), pairs);
+}
+
+TEST(Svg, MessageArcsDrawOneLinePerDependencyRow) {
+  trace::Trace t;
+  auto ls = small_jacobi(t);
+  expect_one_arc_per_dependency(t, ls);
+}
+
+TEST(Svg, MessageArcsIncludeCollectivePairs) {
+  apps::LassenConfig cfg;
+  cfg.iterations = 2;
+  const trace::Trace t = apps::run_lassen_mpi(cfg);
+  ASSERT_FALSE(t.collectives().empty());
+  const auto ls = order::extract_structure(t, order::Options::mpi());
+  expect_one_arc_per_dependency(t, ls);
 }
 
 TEST(Cluster, JacobiCompressesToGeometryClasses) {

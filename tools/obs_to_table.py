@@ -41,20 +41,20 @@ freely on one command line:
         --update EXPERIMENTS.md
 
 With --check it validates each document instead of rendering a table,
-dispatching on the schema string. Sidecars must have the v1/v2/v3/v4
-shape (program, stages, spans, metrics), a versioned `schema` string
-must be exactly "logstruct-obs-sidecar/v2", ".../v3", or ".../v4" and
-carry `peak_rss_kb`, a v3+ sidecar must additionally carry a well-formed
-`recovery` object ({"total": N, "counters": {...}} with total equal to
-the counter sum -- the fault-tolerant-ingestion repair counters, see
-docs/ROBUSTNESS.md), a v4 sidecar must carry the live-telemetry blocks
-(a `sampler` time series with non-decreasing timestamps and a
-`flight_recorder` reference, docs/OBSERVABILITY.md "Live telemetry"),
-and `dropped_spans` must be 0 (a nonzero count means the tracer's span
-buffer overflowed and the trajectory table would silently undercount).
-When a v4 sidecar's sampler ring holds samples, the trajectory table
-gains a closing row with the peak / mean sampled RSS per harness.
-A trace_fsck container-health report ("logstruct-fsck-report/v1",
+dispatching on the schema string. A sidecar's `schema` must be exactly
+"logstruct-obs-sidecar/v4", the only schema the harnesses write
+(src/util/obs_flags.cpp). It must have the shape (program, stages,
+spans, metrics), carry `peak_rss_kb`, a well-formed `recovery` object
+({"total": N, "counters": {...}} with total equal to the counter sum --
+the fault-tolerant-ingestion repair counters, see docs/ROBUSTNESS.md)
+and the live-telemetry blocks (a `sampler` time series with
+non-decreasing timestamps and a `flight_recorder` reference,
+docs/OBSERVABILITY.md "Live telemetry"), and `dropped_spans` must be 0
+(a nonzero count means the tracer's span buffer overflowed and the
+trajectory table would silently undercount). When a sidecar's sampler
+ring holds samples, the trajectory table gains a closing row with the
+peak / mean sampled RSS per harness.
+A trace_fsck container-health report ("logstruct-fsck-report/v2",
 docs/ROBUSTNESS.md) must carry a clean/degraded/unusable verdict, a
 per-column block census whose rows sum to their block counts and to
 the top-level blocks_total/blocks_bad, and a well-formed
@@ -89,7 +89,8 @@ CONC_END = "<!-- concurrency:end -->"
 
 EFF_SCHEMA = "logstruct-effmetrics/v1"
 CONC_SCHEMA = "logstruct-concurrency/v1"
-FSCK_SCHEMA = "logstruct-fsck-report/v1"
+FSCK_SCHEMA = "logstruct-fsck-report/v2"
+SIDECAR_SCHEMA = "logstruct-obs-sidecar/v4"
 EFF_METRICS = (
     "parallel",
     "load_balance",
@@ -474,9 +475,9 @@ def check_effmetrics(doc):
 
 
 def check_recovery(recovery):
-    """Validate a v3 sidecar's `recovery` object; return problems."""
+    """Validate a sidecar's `recovery` object; return problems."""
     if not isinstance(recovery, dict):
-        return ["v3 sidecar missing `recovery` object"]
+        return ["sidecar missing `recovery` object"]
     problems = []
     total = recovery.get("total")
     counters = recovery.get("counters")
@@ -515,9 +516,9 @@ SAMPLE_KEYS = (
 
 
 def check_sampler(sampler):
-    """Validate a v4 sidecar's `sampler` time series; return problems."""
+    """Validate a sidecar's `sampler` time series; return problems."""
     if not isinstance(sampler, dict):
-        return ["v4 sidecar missing `sampler` object"]
+        return ["sidecar missing `sampler` object"]
     problems = []
     for key in ("period_ms", "capacity", "total"):
         v = sampler.get(key)
@@ -556,9 +557,9 @@ def check_sampler(sampler):
 
 
 def check_flightrec(rec):
-    """Validate a v4 sidecar's `flight_recorder` reference block."""
+    """Validate a sidecar's `flight_recorder` reference block."""
     if not isinstance(rec, dict):
-        return ["v4 sidecar missing `flight_recorder` object"]
+        return ["sidecar missing `flight_recorder` object"]
     problems = []
     if not isinstance(rec.get("armed"), bool):
         problems.append("flight_recorder.armed is not a boolean")
@@ -587,9 +588,8 @@ def check_fsck(doc):
     verdict = doc.get("verdict")
     if verdict not in ("clean", "degraded", "unusable"):
         problems.append(f"fsck verdict {verdict!r} is not clean/degraded/unusable")
-    for key in ("checksums", "footer_valid"):
-        if not isinstance(doc.get(key), bool):
-            problems.append(f"fsck report `{key}` is not a boolean")
+    if not isinstance(doc.get("footer_valid"), bool):
+        problems.append("fsck report `footer_valid` is not a boolean")
     for key in ("version", "blocks_total", "blocks_bad"):
         v = doc.get(key)
         if not isinstance(v, int) or v < 0:
@@ -604,8 +604,7 @@ def check_fsck(doc):
             problems.append(f"columns[{i}] is not an object")
             continue
         counts = {}
-        for key in ("id", "blocks", "ok", "checksum_absent",
-                    "checksum_mismatch", "unreadable"):
+        for key in ("id", "blocks", "ok", "checksum_mismatch", "unreadable"):
             v = col.get(key)
             if not isinstance(v, int) or v < 0:
                 problems.append(
@@ -613,8 +612,8 @@ def check_fsck(doc):
                 )
                 v = 0
             counts[key] = v
-        census = (counts["ok"] + counts["checksum_absent"]
-                  + counts["checksum_mismatch"] + counts["unreadable"])
+        census = (counts["ok"] + counts["checksum_mismatch"]
+                  + counts["unreadable"])
         if census != counts["blocks"]:
             problems.append(
                 f"columns[{i}] census sums to {census}, "
@@ -697,23 +696,14 @@ def check_sidecar(path):
             problems.append(f"key {key} is not a {typ.__name__}")
 
     schema = doc.get("schema")
-    if schema is not None:
-        if schema not in (
-            "logstruct-obs-sidecar/v2",
-            "logstruct-obs-sidecar/v3",
-            "logstruct-obs-sidecar/v4",
-        ):
-            problems.append(f"unknown schema: {schema!r}")
-        elif not isinstance(doc.get("peak_rss_kb"), int):
-            problems.append("v2+ sidecar missing integer peak_rss_kb")
-        if schema in (
-            "logstruct-obs-sidecar/v3",
-            "logstruct-obs-sidecar/v4",
-        ):
-            problems.extend(check_recovery(doc.get("recovery")))
-        if schema == "logstruct-obs-sidecar/v4":
-            problems.extend(check_sampler(doc.get("sampler")))
-            problems.extend(check_flightrec(doc.get("flight_recorder")))
+    if schema != SIDECAR_SCHEMA:
+        problems.append(f"unknown schema: {schema!r}")
+    else:
+        if not isinstance(doc.get("peak_rss_kb"), int):
+            problems.append("sidecar missing integer peak_rss_kb")
+        problems.extend(check_recovery(doc.get("recovery")))
+        problems.extend(check_sampler(doc.get("sampler")))
+        problems.extend(check_flightrec(doc.get("flight_recorder")))
 
     for name, entry in (doc.get("stages") or {}).items():
         if not isinstance(entry, dict) or "total_ns" not in entry:
@@ -774,7 +764,7 @@ def main():
     ap.add_argument(
         "--check",
         action="store_true",
-        help="validate document schemas (sidecar v1-v4, effmetrics, "
+        help="validate document schemas (sidecar v4, effmetrics, "
         "concurrency, fsck reports) and fail on dropped spans instead "
         "of rendering a table",
     )

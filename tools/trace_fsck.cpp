@@ -7,14 +7,14 @@
 ///   report             same scan, but always exit 0 — the JSON verdict
 ///                      is the product (CI artifact collection).
 ///   repair             recovering-open the container, salvage what the
-///                      checksums prove, and write a fresh v2 container
+///                      checksums prove, and write a fresh container
 ///                      to --out; exit 0 on salvage, 2 on clean refusal.
 ///
 ///   ./trace_fsck --in=run.lsblk
 ///   ./trace_fsck --in=run.lsblk --mode=report --out-report=fsck.json
 ///   ./trace_fsck --in=torn.lsblk --mode=repair --out=salvaged.lsblk
 ///
-/// The JSON report (schema `logstruct-fsck-report/v1`) carries the
+/// The JSON report (schema `logstruct-fsck-report/v2`) carries the
 /// per-column damage census plus the full RecoveryReport, so a fleet of
 /// containers can be audited with obs_to_table.py --check.
 
@@ -35,13 +35,13 @@ using logstruct::trace::RecoveryReport;
 using logstruct::trace::storage::BlockStatus;
 using logstruct::trace::storage::BlockStore;
 using logstruct::trace::storage::ColumnId;
+using logstruct::trace::storage::kFormatVersion;
 using logstruct::trace::storage::kNumColumns;
 using logstruct::trace::storage::OpenOptions;
 
 struct ColumnCensus {
   std::int64_t blocks = 0;
   std::int64_t ok = 0;
-  std::int64_t checksum_absent = 0;
   std::int64_t checksum_mismatch = 0;
   std::int64_t unreadable = 0;
 };
@@ -49,7 +49,6 @@ struct ColumnCensus {
 struct FsckResult {
   bool opened = false;
   std::uint32_t version = 0;
-  bool checksums = false;
   bool footer_valid = false;
   std::int64_t blocks_total = 0;
   std::int64_t blocks_bad = 0;
@@ -60,8 +59,7 @@ struct FsckResult {
 FsckResult scan(BlockStore& store, const RecoveryReport& report) {
   FsckResult r;
   r.opened = true;
-  r.version = store.version();
-  r.checksums = store.checksums_present();
+  r.version = kFormatVersion;
   r.footer_valid = store.footer_valid();
   for (std::uint32_t c = 0; c < kNumColumns; ++c) {
     const auto col = static_cast<ColumnId>(c);
@@ -70,7 +68,6 @@ FsckResult scan(BlockStore& store, const RecoveryReport& report) {
     for (std::uint32_t b = 0; b < store.num_blocks(col); ++b) {
       switch (store.verify_block(col, b)) {
         case BlockStatus::Ok: ++census.ok; break;
-        case BlockStatus::ChecksumAbsent: ++census.checksum_absent; break;
         case BlockStatus::ChecksumMismatch:
           ++census.checksum_mismatch;
           break;
@@ -80,8 +77,7 @@ FsckResult scan(BlockStore& store, const RecoveryReport& report) {
     r.blocks_total += census.blocks;
     r.blocks_bad += census.checksum_mismatch + census.unreadable;
   }
-  const bool committed = r.version < 2 || r.footer_valid;
-  if (r.blocks_bad == 0 && committed && report.empty())
+  if (r.blocks_bad == 0 && r.footer_valid && report.empty())
     r.verdict = "clean";
   else
     r.verdict = "degraded";
@@ -106,11 +102,10 @@ std::string json_escape(const std::string& s) {
 std::string to_json(const std::string& path, const FsckResult& r,
                     const RecoveryReport& report) {
   std::ostringstream os;
-  os << "{\n  \"schema\": \"logstruct-fsck-report/v1\",\n"
+  os << "{\n  \"schema\": \"logstruct-fsck-report/v2\",\n"
      << "  \"path\": \"" << json_escape(path) << "\",\n"
      << "  \"verdict\": \"" << r.verdict << "\",\n"
      << "  \"version\": " << r.version << ",\n"
-     << "  \"checksums\": " << (r.checksums ? "true" : "false") << ",\n"
      << "  \"footer_valid\": " << (r.footer_valid ? "true" : "false")
      << ",\n"
      << "  \"blocks_total\": " << r.blocks_total << ",\n"
@@ -121,7 +116,6 @@ std::string to_json(const std::string& path, const FsckResult& r,
     if (c) os << ",";
     os << "\n    {\"id\": " << c << ", \"blocks\": " << census.blocks
        << ", \"ok\": " << census.ok
-       << ", \"checksum_absent\": " << census.checksum_absent
        << ", \"checksum_mismatch\": " << census.checksum_mismatch
        << ", \"unreadable\": " << census.unreadable << "}";
   }
@@ -152,7 +146,7 @@ int main(int argc, char** argv) {
   flags.define_string("out", "",
                       "repair mode: path for the salvaged container");
   flags.define_string("out-report", "",
-                      "write the logstruct-fsck-report/v1 JSON here");
+                      "write the logstruct-fsck-report/v2 JSON here");
   flags.define_int("block-kb", 256,
                    "repair mode: block size in KiB for the output");
   util::define_obs_flags(flags);
@@ -182,14 +176,12 @@ int main(int argc, char** argv) {
   const std::string json = to_json(in, result, report);
   if (!write_report(flags.get_string("out-report"), json)) return 1;
 
-  std::printf(
-      "trace_fsck: %s v%u %s: %lld blocks, %lld bad, footer %s -> %s\n",
-      in.c_str(), result.version,
-      result.checksums ? "checksummed" : "no checksums",
-      static_cast<long long>(result.blocks_total),
-      static_cast<long long>(result.blocks_bad),
-      result.footer_valid ? "valid" : "absent/invalid",
-      result.verdict.c_str());
+  std::printf("trace_fsck: %s v%u: %lld blocks, %lld bad, footer %s -> %s\n",
+              in.c_str(), result.version,
+              static_cast<long long>(result.blocks_total),
+              static_cast<long long>(result.blocks_bad),
+              result.footer_valid ? "valid" : "absent/invalid",
+              result.verdict.c_str());
   if (report.total() > 0) std::printf("%s", report.to_string().c_str());
 
   if (mode == "repair") {
