@@ -6,10 +6,10 @@
 namespace logstruct::obs {
 
 namespace detail {
-thread_local std::int64_t t_alloc_bytes = 0;
-thread_local std::int64_t t_alloc_count = 0;
-thread_local std::int64_t t_flushed_bytes = 0;
-thread_local std::int64_t t_flushed_count = 0;
+constinit thread_local std::int64_t t_alloc_bytes = 0;
+constinit thread_local std::int64_t t_alloc_count = 0;
+constinit thread_local std::int64_t t_flushed_bytes = 0;
+constinit thread_local std::int64_t t_flushed_count = 0;
 std::atomic<std::int64_t> g_alloc_bytes{0};
 std::atomic<std::int64_t> g_alloc_count{0};
 }  // namespace detail

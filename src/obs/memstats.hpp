@@ -69,13 +69,16 @@ void credit_external_allocs(const AllocCounters& delta);
 namespace detail {
 /// Written by alloc_hook.cpp's operator new. Constant-initialized PODs,
 /// safe to bump during static initialization and thread start-up.
-extern thread_local std::int64_t t_alloc_bytes;
-extern thread_local std::int64_t t_alloc_count;
+/// `constinit` tells every TU there is no dynamic initializer, so they
+/// are accessed directly rather than through a thread_local wrapper call;
+/// through the wrapper, gcc's UBSan at -O2 reported a null load here.
+extern constinit thread_local std::int64_t t_alloc_bytes;
+extern constinit thread_local std::int64_t t_alloc_count;
 
 /// Per-thread high-water marks of the last flush into the process-wide
 /// totals, and the shared totals themselves (see process_allocs()).
-extern thread_local std::int64_t t_flushed_bytes;
-extern thread_local std::int64_t t_flushed_count;
+extern constinit thread_local std::int64_t t_flushed_bytes;
+extern constinit thread_local std::int64_t t_flushed_count;
 extern std::atomic<std::int64_t> g_alloc_bytes;
 extern std::atomic<std::int64_t> g_alloc_count;
 

@@ -1,6 +1,8 @@
 #include "order/stepping.hpp"
 
 #include <algorithm>
+#include <stdexcept>
+#include <string>
 #include <unordered_map>
 
 #include "graph/topo.hpp"
@@ -169,6 +171,10 @@ void stepping_pass(OrderContext& ctx) {
       static_cast<std::size_t>(trace.num_events()), trace::kNone);
   std::vector<std::int32_t> conflicts(
       static_cast<std::size_t>(phases.num_phases()), 0);
+  // Per phase, the error of a cyclic constraint set; thrown after the
+  // fan-out (lowest phase first), never from inside a pool worker.
+  std::vector<std::string> cycle_errors(
+      static_cast<std::size_t>(phases.num_phases()));
   // Position of each event in its phase's event list, to merge released
   // collective receives into a send's successors (per-event, so the
   // phase fan-out below writes disjoint slots; empty without collectives).
@@ -393,13 +399,16 @@ void stepping_pass(OrderContext& ctx) {
     }
 
     if (conflicts[static_cast<std::size_t>(ph)] > 0) {
-      // The cycle-breaking fallback can leave constraints unmet. Relax to
-      // a fixpoint: every pass only raises steps, so it terminates, and
-      // afterwards both invariants (strictly increasing along the chare
+      // The cycle-breaking fallback can leave constraints unmet. Relax:
+      // every round only raises steps, in phase-event order. Strict (+1)
+      // constraints without a cycle settle within |phase| rounds (a path
+      // has at most |phase| - 1 edges), so a step still rising in round
+      // |phase| + 1 proves a cycle that no step assignment satisfies;
+      // otherwise both invariants (strictly increasing along the chare
       // sequence, receive after send) hold again.
-      bool changed = true;
-      while (changed) {
-        changed = false;
+      std::vector<trace::EventId> rising;
+      for (std::size_t round = 0; round <= phase_events.size(); ++round) {
+        rising.clear();
         for (trace::EventId e : phase_events) {
           std::int32_t step = out.local_step[static_cast<std::size_t>(e)];
           if (seq_pred[static_cast<std::size_t>(e)] != trace::kNone) {
@@ -427,9 +436,20 @@ void stepping_pass(OrderContext& ctx) {
           }
           if (step != out.local_step[static_cast<std::size_t>(e)]) {
             out.local_step[static_cast<std::size_t>(e)] = step;
-            changed = true;
+            rising.push_back(e);
           }
         }
+        if (rising.empty()) break;
+      }
+      if (!rising.empty()) {
+        std::string msg = "order/stepping: phase " + std::to_string(ph) +
+                          ": step constraints contain a cycle; events "
+                          "still rising:";
+        for (std::size_t i = 0; i < rising.size() && i < 8; ++i)
+          msg += " " + std::to_string(rising[i]);
+        if (rising.size() > 8)
+          msg += " (" + std::to_string(rising.size()) + " in all)";
+        cycle_errors[static_cast<std::size_t>(ph)] = std::move(msg);
       }
     }
 
@@ -449,6 +469,8 @@ void stepping_pass(OrderContext& ctx) {
     process_phase(static_cast<std::int32_t>(ph));
     obs::Progress::tick();
   });
+  for (const std::string& err : cycle_errors)
+    if (!err.empty()) throw std::runtime_error(err);
   for (std::int32_t c : conflicts) out.order_conflicts += c;
 
   // Phase offsets along the phase DAG.

@@ -4,9 +4,10 @@
 /// Entry points of the blocked trace backend (docs/STORAGE.md).
 ///
 /// freeze_blocked() is called by Trace::freeze() when the process
-/// default backend is Blocked: it streams the frozen columns into an
-/// unlinked spill `.lsblk` (external sorts keep the transient RSS at the
-/// run-buffer size) and swaps the Trace onto the store. The named-file
+/// default backend is Blocked: it runs the mem freeze, streams the
+/// frozen columns into an unlinked spill `.lsblk` with the same writer
+/// write_blocked_file() uses, and swaps the Trace onto the store,
+/// releasing the RAM columns. The named-file
 /// functions back tools/trace_convert: write_blocked_file() persists any
 /// frozen trace as a `.lsblk`, open_blocked_trace() serves one without
 /// re-freezing, and trace_structure_hash() is the backend-independent

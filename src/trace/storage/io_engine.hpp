@@ -3,8 +3,8 @@
 /// \file io_engine.hpp
 /// The I/O seam of the blocked storage layer (docs/ROBUSTNESS.md).
 ///
-/// Every open/pread/pwrite/fsync the `.lsblk` reader, writer, and the
-/// external sorter issue goes through an IoEngine, so fault injection is
+/// Every open/pread/pwrite/fsync the `.lsblk` reader and writer issue
+/// goes through an IoEngine, so fault injection is
 /// a link-free swap: the default engine forwards to the raw syscalls;
 /// FaultyIoEngine wraps any engine and injects deterministic, seed-driven
 /// faults (EINTR storms, transient EIO, ENOSPC, short reads/writes,

@@ -11,9 +11,9 @@
 /// backends (trace/storage/options.hpp):
 ///  - mem: the columns live in std::vector, exactly the historical
 ///    layout, zero overhead;
-///  - blocked: freezing streams the columns into an unlinked `.lsblk`
-///    container (bounded RSS via external sorts) and reads come back
-///    through the process-wide block cache as pinned views.
+///  - blocked: the same freeze builds the columns in RAM, streams them
+///    into an unlinked `.lsblk` container and releases them; reads come
+///    back through the process-wide block cache as pinned views.
 /// Accessors return backend-neutral types: storage::ColumnView for whole
 /// columns, storage::PinnedSpan for contiguous ranges, records by value.
 /// Both backends produce bit-identical logical content — the golden
@@ -283,7 +283,8 @@ class Trace {
   /// for any value and for either backend.
   void freeze(int threads = 0);
 
-  /// The historical all-vector freeze (mem backend).
+  /// The all-vector freeze: the mem backend, and the first stage of the
+  /// blocked one.
   void freeze_mem(int threads);
 
   [[nodiscard]] std::int32_t dep_begin_at(std::size_t i) const {
@@ -335,7 +336,8 @@ class Trace {
   std::vector<SerialBlock> blocks_;
   std::vector<IdleSpan> idles_;
 
-  // Derived flat columns (mem backend only).
+  // Derived flat columns (mem backend; a blocked freeze builds, streams
+  // and releases them).
   std::vector<BlockId> chare_blocks_;
   std::vector<BlockId> proc_blocks_;
   std::vector<EventId> chare_events_;

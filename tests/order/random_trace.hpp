@@ -3,7 +3,8 @@
 /// Randomized well-formed trace generators shared by the pipeline fuzz
 /// tests, the causality property tests and the collective-group tests.
 /// random_trace: random chares, placements, serial blocks, fan-outs,
-/// untraced dependencies, and runtime chares. random_collective_trace:
+/// untraced dependencies, and runtime chares; with `collectives`, also
+/// hand-written collectives over those chares. random_collective_trace:
 /// MPI-style ranks with point-to-point rounds and collectives. Per-PE
 /// time is kept monotonic so blocks never overlap; point-to-point
 /// receives always follow their send.
@@ -19,7 +20,8 @@
 
 namespace logstruct::order::testing {
 
-inline trace::Trace random_trace(std::uint64_t seed) {
+inline trace::Trace random_trace(std::uint64_t seed,
+                                 bool collectives = false) {
   util::Rng rng(seed);
   const std::int32_t num_procs = 2 + static_cast<std::int32_t>(rng.uniform(4));
   const std::int32_t num_chares =
@@ -122,6 +124,32 @@ inline trace::Trace random_trace(std::uint64_t seed) {
       trace::TimeNs len = 1 + static_cast<trace::TimeNs>(rng.uniform(400));
       tb.add_idle(p, t0, t0 + len);
       proc_clock[static_cast<std::size_t>(p)] = t0 + len;
+    }
+    // With p = 1/2 one collective: each chare sends with p = 2/3 in a
+    // fresh block that half the time also receives one tick later, then
+    // each chare receives with p = 2/3 in a later fresh block. At least
+    // one chare sends and one receives.
+    if (collectives && rng.uniform(2) == 0) {
+      const trace::CollectiveId coll = tb.begin_collective();
+      bool any = false;
+      for (std::size_t c = 0; c < chares.size(); ++c) {
+        if (rng.uniform(3) == 0 && (any || c + 1 < chares.size())) continue;
+        any = true;
+        auto [b, t0] = open_block(c, 0);
+        tb.add_collective_send(coll, b, t0);
+        if (rng.uniform(2)) tb.add_collective_recv(coll, b, t0 + 1);
+        tb.end_block(b, t0 + 2);
+        proc_clock[static_cast<std::size_t>(home[c])] = t0 + 2;
+      }
+      any = false;
+      for (std::size_t c = 0; c < chares.size(); ++c) {
+        if (rng.uniform(3) == 0 && (any || c + 1 < chares.size())) continue;
+        any = true;
+        auto [b, t0] = open_block(c, 0);
+        tb.add_collective_recv(coll, b, t0);
+        tb.end_block(b, t0 + 1);
+        proc_clock[static_cast<std::size_t>(home[c])] = t0 + 1;
+      }
     }
   }
   // Drain every in-flight message so all sends are matched.

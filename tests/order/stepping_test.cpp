@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "order_fixtures.hpp"
@@ -309,6 +311,33 @@ TEST(Stepping, CollectiveStepsAreLongestPaths) {
         for (trace::EventId s : coll.sends) follow(s, r);
     for (trace::EventId e = 0; e < t.num_events(); ++e)
       EXPECT_EQ(step(e), want[static_cast<std::size_t>(e)]) << "event " << e;
+  }
+}
+
+/// Hand-written collectives on random charm traces can leave the step
+/// constraints cyclic under MPI options: the relaxation after a broken
+/// cycle then never settles. Stepping must stop and name the phase and
+/// the events still rising instead of spinning; every other seed must
+/// yield a valid structure.
+TEST(Stepping, CyclicConstraintsThrowInsteadOfSpinning) {
+  const std::vector<std::uint64_t> cyclic = {3, 5, 15, 30, 35, 44};
+  for (std::uint64_t seed = 1; seed <= 60; ++seed) {
+    SCOPED_TRACE(seed);
+    const trace::Trace t = testing::random_trace(seed, /*collectives=*/true);
+    const bool expect_cycle =
+        std::find(cyclic.begin(), cyclic.end(), seed) != cyclic.end();
+    try {
+      const LogicalStructure ls = extract_structure(t, Options::mpi());
+      EXPECT_FALSE(expect_cycle);
+      EXPECT_TRUE(validate_structure(t, ls).empty());
+    } catch (const std::runtime_error& e) {
+      EXPECT_TRUE(expect_cycle) << e.what();
+      EXPECT_EQ(std::string(e.what()).rfind("order/stepping: phase ", 0), 0u)
+          << e.what();
+      EXPECT_NE(std::string(e.what()).find("still rising: "),
+                std::string::npos)
+          << e.what();
+    }
   }
 }
 

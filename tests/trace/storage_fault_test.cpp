@@ -18,7 +18,9 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <random>
 #include <sstream>
@@ -355,6 +357,33 @@ TEST(StorageFault, CrashDuringFreezeTortureSalvagesOrRefuses) {
     std::remove(path.c_str());
   }
   std::remove(clean.path.c_str());
+}
+
+/// A blocked freeze that dies mid-write throws and leaves nothing in the
+/// spill directory: the half-written container is removed, not leaked.
+TEST(StorageFault, FailedBlockedFreezeLeavesNoSpillFile) {
+  const CleanContainer clean = make_clean("spill_ref");
+  const std::uint64_t S = clean.image.size();
+  std::remove(clean.path.c_str());
+
+  std::string dir = ::testing::TempDir() + "ls_fault_spill_XXXXXX";
+  ASSERT_NE(::mkdtemp(dir.data()), nullptr);
+  StorageOptions opts = default_options();
+  opts.kind = BackendKind::Blocked;
+  opts.block_bytes = 4096;
+  opts.dir = dir;
+  ScopedStorageOptions storage(opts);
+
+  // Death in the first data block, mid-data, and in the commit tail.
+  for (const std::uint64_t budget : {std::uint64_t{50}, S / 2, S - 20}) {
+    FaultyIoEngine faulty(
+        FaultSpec::parse("enospc_at=" + std::to_string(budget)));
+    ScopedFaultEngine scope(&faulty);
+    EXPECT_THROW((void)testing::make_mini_trace(), StorageError)
+        << "budget " << budget;
+    EXPECT_TRUE(std::filesystem::is_empty(dir)) << "budget " << budget;
+  }
+  std::filesystem::remove_all(dir);
 }
 
 TEST(StorageFault, TornTailTruncationTorture) {

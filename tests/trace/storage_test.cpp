@@ -1,6 +1,6 @@
 /// Unit tests for the out-of-core storage layer: the .lsblk container
-/// (BlockStoreWriter/BlockStore), the global block cache, the external
-/// sorter, the blocked Trace backend's equivalence with the mem backend,
+/// (BlockStoreWriter/BlockStore), the global block cache, the blocked
+/// Trace backend's equivalence with the mem backend,
 /// and a concurrent-reader hammer (the TSan job runs it under
 /// -fsanitize=thread with a tiny cache, so every shard lock and pin
 /// path gets exercised under real contention).
@@ -22,12 +22,12 @@
 #include <unistd.h>
 
 #include "apps/lassen.hpp"
+#include "random_trace.hpp"
 #include "trace/builder.hpp"
 #include "trace/storage/block_cache.hpp"
 #include "trace/storage/block_store.hpp"
 #include "trace/storage/blocked_trace.hpp"
 #include "trace/storage/column.hpp"
-#include "trace/storage/extsort.hpp"
 #include "trace/storage/options.hpp"
 #include "trace_fixtures.hpp"
 
@@ -157,43 +157,6 @@ TEST(BlockCacheTest, EvictionStatsAndPinSafety) {
   std::remove(path.c_str());
 }
 
-/// Spilling sorter: more records than one run buffer holds, emitted
-/// fully sorted with nothing lost (checksum preserved).
-TEST(ExternalSorterTest, SpillsAndMergesSorted) {
-  struct Rec {
-    std::uint64_t key;
-    std::uint64_t payload;
-  };
-  struct Less {
-    bool operator()(const Rec& a, const Rec& b) const {
-      return a.key < b.key;
-    }
-  };
-  // Run buffer floor is 1024 records; 50k records -> ~49 spilled runs.
-  ExternalSorter<Rec, Less> sorter(1, /*threads=*/2);
-  std::mt19937_64 rng(42);
-  std::uint64_t checksum = 0;
-  const std::size_t n = 50000;
-  for (std::size_t i = 0; i < n; ++i) {
-    Rec r{rng(), i};
-    checksum ^= r.key;
-    sorter.push(r);
-  }
-  ASSERT_EQ(sorter.size(), n);
-  std::uint64_t prev = 0, out_checksum = 0;
-  std::size_t count = 0;
-  sorter.finish([&](const Rec& r) {
-    if (count > 0) {
-      EXPECT_GE(r.key, prev);
-    }
-    prev = r.key;
-    out_checksum ^= r.key;
-    ++count;
-  });
-  EXPECT_EQ(count, n);
-  EXPECT_EQ(out_checksum, checksum);
-}
-
 /// The same builder calls frozen under both backends yield the same
 /// structure hash and the same accessor-level views.
 TEST(BlockedBackend, MatchesMemBackend) {
@@ -222,6 +185,29 @@ TEST(BlockedBackend, MatchesMemBackend) {
   auto rb = blk.trace.receivers(blk.s_ab);
   ASSERT_EQ(rm.size(), rb.size());
   for (std::size_t i = 0; i < rm.size(); ++i) EXPECT_EQ(rm[i], rb[i]);
+
+  // Random shapes through the container round trip: blockless events,
+  // fan-out, runtime chares and collectives.
+  const auto frozen_under = [&](BackendKind kind, const auto& make) {
+    StorageOptions o = opts;
+    o.kind = kind;
+    ScopedStorageOptions s(o);
+    Trace t = make();
+    EXPECT_EQ(t.storage_backend(), kind);
+    return trace_structure_hash(t);
+  };
+  for (std::uint64_t seed = 1; seed <= 32; ++seed) {
+    const auto charm = [seed] { return order::testing::random_trace(seed); };
+    const auto mpi = [seed] {
+      return order::testing::random_collective_trace(seed, 2, 6, 2);
+    };
+    EXPECT_EQ(frozen_under(BackendKind::Blocked, charm),
+              frozen_under(BackendKind::Mem, charm))
+        << "random_trace seed " << seed;
+    EXPECT_EQ(frozen_under(BackendKind::Blocked, mpi),
+              frozen_under(BackendKind::Mem, mpi))
+        << "random_collective_trace seed " << seed;
+  }
 }
 
 struct Dep {
