@@ -160,17 +160,18 @@ void PartitionGraph::relabel(const std::vector<std::int32_t>& label,
                              std::int32_t num_new) {
   merges_ += num_partitions() - num_new;
   const trace::Trace& tr = *trace_;
-  auto by_time = [&tr](trace::EventId a, trace::EventId b) {
-    const trace::TimeNs ta = tr.event_time(a);
-    const trace::TimeNs tb = tr.event_time(b);
-    if (ta != tb) return ta < tb;
-    return a < b;
-  };
 
-  // The first member of each group donates its vectors; later members
-  // merge in. Member event lists are already time-sorted, so each merge
-  // is a sorted-run inplace_merge — partitions untouched by this batch
-  // cost only a vector move.
+  // A label with one member takes that partition's vectors as they are.
+  // A label with more concatenates its members' lists, then sorts the
+  // events once by the (time, id) key — the total order every event
+  // list is kept in — and the chares once into a unique set.
+  std::vector<std::int32_t> members(static_cast<std::size_t>(num_new), 0);
+  std::vector<std::size_t> total(static_cast<std::size_t>(num_new), 0);
+  for (std::int32_t p = 0; p < num_partitions(); ++p) {
+    auto nl = static_cast<std::size_t>(label[static_cast<std::size_t>(p)]);
+    ++members[nl];
+    total[nl] += events_[static_cast<std::size_t>(p)].size();
+  }
   std::vector<std::vector<trace::EventId>> new_events(
       static_cast<std::size_t>(num_new));
   std::vector<std::vector<trace::ChareId>> new_chares(
@@ -178,23 +179,30 @@ void PartitionGraph::relabel(const std::vector<std::int32_t>& label,
   std::vector<bool> new_runtime(static_cast<std::size_t>(num_new), false);
   for (std::int32_t p = 0; p < num_partitions(); ++p) {
     auto nl = static_cast<std::size_t>(label[static_cast<std::size_t>(p)]);
-    auto& dst = new_events[nl];
     auto& src = events_[static_cast<std::size_t>(p)];
-    if (dst.empty()) {
-      dst = std::move(src);
-      new_chares[nl] = std::move(chares_[static_cast<std::size_t>(p)]);
+    auto& cs = chares_[static_cast<std::size_t>(p)];
+    if (members[nl] == 1) {
+      new_events[nl] = std::move(src);
+      new_chares[nl] = std::move(cs);
     } else {
-      auto mid = static_cast<std::ptrdiff_t>(dst.size());
+      auto& dst = new_events[nl];
+      if (dst.empty()) dst.reserve(total[nl]);
       dst.insert(dst.end(), src.begin(), src.end());
-      std::inplace_merge(dst.begin(), dst.begin() + mid, dst.end(), by_time);
-      auto& cs = new_chares[nl];
-      auto& add = chares_[static_cast<std::size_t>(p)];
-      auto cmid = static_cast<std::ptrdiff_t>(cs.size());
-      cs.insert(cs.end(), add.begin(), add.end());
-      std::inplace_merge(cs.begin(), cs.begin() + cmid, cs.end());
-      cs.erase(std::unique(cs.begin(), cs.end()), cs.end());
+      new_chares[nl].insert(new_chares[nl].end(), cs.begin(), cs.end());
     }
     if (runtime_[static_cast<std::size_t>(p)]) new_runtime[nl] = true;
+  }
+  std::vector<std::pair<trace::TimeNs, trace::EventId>> keyed;
+  for (std::size_t nl = 0; nl < members.size(); ++nl) {
+    if (members[nl] < 2) continue;
+    auto& evs = new_events[nl];
+    keyed.clear();
+    for (trace::EventId e : evs) keyed.emplace_back(tr.event_time(e), e);
+    std::sort(keyed.begin(), keyed.end());
+    for (std::size_t i = 0; i < evs.size(); ++i) evs[i] = keyed[i].second;
+    auto& cs = new_chares[nl];
+    std::sort(cs.begin(), cs.end());
+    cs.erase(std::unique(cs.begin(), cs.end()), cs.end());
   }
   events_ = std::move(new_events);
   chares_ = std::move(new_chares);

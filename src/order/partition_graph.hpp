@@ -10,7 +10,8 @@
 /// merge") so the graph is a DAG again.
 ///
 /// Merges are incremental: only the event/chare lists of partitions that
-/// actually merged are touched (sorted-run merges, no global re-sort), the
+/// actually merged are touched (each merged partition's concatenated
+/// members are sorted once by (time, id); the rest are moved), the
 /// edge list is kept as a flat vector that is remapped in place, and the
 /// adjacency structure (dag()) is rebuilt lazily — deferred edge
 /// compaction — only when a query needs it after a mutation dirtied it.

@@ -70,8 +70,8 @@ struct Pass {
 };
 
 /// Per-pass execution record: what ran, how long it took, how much it
-/// allocated, and the partition count afterwards (-1 before the graph
-/// exists). Drives PipelineTimings and the BENCH_pipeline.json perf
+/// allocated and read through the block cache, and the partition count
+/// afterwards (-1 before the graph exists). Drives PipelineTimings and the BENCH_pipeline.json perf
 /// trajectory (schema v2 carries alloc_bytes alongside seconds).
 struct PassRecord {
   std::string name;
@@ -85,6 +85,12 @@ struct PassRecord {
   /// Worker threads the pass was entitled to: Options::effective_threads
   /// for kPhaseParallel passes, 1 for serial ones.
   int threads = 1;
+  /// Block-cache lookups during the pass: deltas of the process-wide
+  /// BlockCache::global().stats() around the body, so a concurrent
+  /// reader elsewhere in the process is billed here too. Always 0 on
+  /// the mem backend, which never looks up a block.
+  std::int64_t cache_hits = 0;
+  std::int64_t cache_misses = 0;
 };
 
 }  // namespace logstruct::order

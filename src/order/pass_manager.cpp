@@ -8,6 +8,7 @@
 #include "obs/progress.hpp"
 #include "order/context.hpp"
 #include "order/infer.hpp"
+#include "trace/storage/block_cache.hpp"
 #include "util/stopwatch.hpp"
 
 namespace logstruct::order {
@@ -36,6 +37,8 @@ void PassManager::run(OrderContext& ctx) {
     // the pass body opens no finer-grained Progress of its own.
     obs::Progress progress("order/" + pass.name, 0);
     util::Stopwatch sw;
+    const trace::storage::BlockCache::Stats cache_before =
+        trace::storage::BlockCache::global().stats();
     [[maybe_unused]] const std::int64_t merges_before =
         ctx.has_pg() ? ctx.pg().merges_applied() : 0;
     // What the pass may fan out over; the body resolves the same value
@@ -60,6 +63,12 @@ void PassManager::run(OrderContext& ctx) {
     rec.partitions = ctx.has_pg() ? ctx.pg().num_partitions() : -1;
     rec.alloc_bytes = allocs.delta().bytes;
     rec.threads = threads;
+    const trace::storage::BlockCache::Stats cache_after =
+        trace::storage::BlockCache::global().stats();
+    rec.cache_hits = static_cast<std::int64_t>(cache_after.hits -
+                                               cache_before.hits);
+    rec.cache_misses = static_cast<std::int64_t>(cache_after.misses -
+                                                 cache_before.misses);
     records_.push_back(std::move(rec));
 #if LOGSTRUCT_OBS
     if (pass.enabled) {
@@ -70,6 +79,8 @@ void PassManager::run(OrderContext& ctx) {
       if (ctx.has_pg())
         reg.counter("order/pass/" + pass.name + "/merges")
             .add(ctx.pg().merges_applied() - merges_before);
+      reg.counter("order/pass/" + pass.name + "/cache_misses")
+          .add(records_.back().cache_misses);
     }
     // High-water gauges over the pipeline's big owners, refreshed at
     // every pass boundary (memory peaks live at stage edges, not inside).

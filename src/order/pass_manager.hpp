@@ -5,8 +5,9 @@
 ///
 /// For every pass the manager: opens the pass's obs span (unless the pass
 /// emits its own), runs the body when enabled, attaches the resulting
-/// partition count, bumps the pass's run/merge counters, records a
-/// PassRecord (name, seconds, ran, partitions) for PipelineTimings and
+/// partition count, bumps the pass's run/merge/cache-miss counters,
+/// records a PassRecord (name, seconds, ran, partitions, block-cache
+/// hits and misses) for PipelineTimings and
 /// the perf-trajectory file, and — when invariant checking is on — dies
 /// loudly if a declared invariant does not hold on the pass's exit state.
 ///

@@ -171,10 +171,6 @@ void stepping_pass(OrderContext& ctx) {
       static_cast<std::size_t>(trace.num_events()), trace::kNone);
   std::vector<std::int32_t> conflicts(
       static_cast<std::size_t>(phases.num_phases()), 0);
-  // Per phase, the error of a cyclic constraint set; thrown after the
-  // fan-out (lowest phase first), never from inside a pool worker.
-  std::vector<std::string> cycle_errors(
-      static_cast<std::size_t>(phases.num_phases()));
   // Position of each event in its phase's event list, to merge released
   // collective receives into a send's successors (per-event, so the
   // phase fan-out below writes disjoint slots; empty without collectives).
@@ -449,7 +445,8 @@ void stepping_pass(OrderContext& ctx) {
           msg += " " + std::to_string(rising[i]);
         if (rising.size() > 8)
           msg += " (" + std::to_string(rising.size()) + " in all)";
-        cycle_errors[static_cast<std::size_t>(ph)] = std::move(msg);
+        // The pool rethrows the lowest throwing phase's error.
+        throw std::runtime_error(msg);
       }
     }
 
@@ -469,8 +466,6 @@ void stepping_pass(OrderContext& ctx) {
     process_phase(static_cast<std::int32_t>(ph));
     obs::Progress::tick();
   });
-  for (const std::string& err : cycle_errors)
-    if (!err.empty()) throw std::runtime_error(err);
   for (std::int32_t c : conflicts) out.order_conflicts += c;
 
   // Phase offsets along the phase DAG.

@@ -38,12 +38,11 @@ CachedBlock BlockCache::get(const BlockStore& store, ColumnId col,
                             std::uint32_t block) {
   const Key key{store.generation(),
                 (static_cast<std::uint64_t>(col) << 32) | block};
-  Shard& shard = shard_for(key);
   {
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    auto it = shard.map.find(key);
-    if (it != shard.map.end()) {
-      shard.lru.splice(shard.lru.begin(), shard.lru, it->second.lru_pos);
+    std::lock_guard<std::mutex> lock(mutex_);
+    auto it = map_.find(key);
+    if (it != map_.end()) {
+      lru_.splice(lru_.begin(), lru_, it->second.lru_pos);
       const std::int64_t hits =
           hits_.fetch_add(1, std::memory_order_relaxed) + 1;
       OBS_COUNTER_INC("trace/storage/cache/hits");
@@ -52,8 +51,7 @@ CachedBlock BlockCache::get(const BlockStore& store, ColumnId col,
     }
   }
 
-  // Miss: read outside the shard lock so concurrent misses on different
-  // blocks of the same shard overlap their I/O.
+  // Miss: read outside the lock so concurrent misses overlap their I/O.
   const std::uint32_t bytes = store.block_size(col, block);
   std::shared_ptr<char[]> buf(new char[bytes]);
   store.read_block(col, block, buf.get());
@@ -63,54 +61,49 @@ CachedBlock BlockCache::get(const BlockStore& store, ColumnId col,
   OBS_COUNTER_INC("trace/storage/cache/misses");
   maybe_publish_hit_rate(hits_.load(std::memory_order_relaxed), misses);
 
-  std::lock_guard<std::mutex> lock(shard.mutex);
-  auto it = shard.map.find(key);
-  if (it != shard.map.end()) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  auto it = map_.find(key);
+  if (it != map_.end()) {
     // Another thread filled it while we read; keep the cached copy.
-    shard.lru.splice(shard.lru.begin(), shard.lru, it->second.lru_pos);
+    lru_.splice(lru_.begin(), lru_, it->second.lru_pos);
     return it->second.block;
   }
-  shard.lru.push_front(key);
-  shard.map.emplace(key, Entry{filled, shard.lru.begin()});
-  shard.bytes += bytes;
-  evict_locked(shard, shard_budget());
+  lru_.push_front(key);
+  map_.emplace(key, Entry{filled, lru_.begin()});
+  bytes_ += bytes;
+  evict_locked();
   return filled;
 }
 
-void BlockCache::evict_locked(Shard& shard, std::uint64_t budget) {
+void BlockCache::evict_locked() {
+  const std::uint64_t budget = budget_.load(std::memory_order_relaxed);
   if (budget == 0) return;  // unbounded
-  while (shard.bytes > budget && shard.lru.size() > 1) {
-    const Key victim = shard.lru.back();
-    auto it = shard.map.find(victim);
-    shard.bytes -= it->second.block.bytes;
-    shard.map.erase(it);
-    shard.lru.pop_back();
+  while (bytes_ > budget && lru_.size() > 1) {
+    auto it = map_.find(lru_.back());
+    bytes_ -= it->second.block.bytes;
+    map_.erase(it);
+    lru_.pop_back();
     evictions_.fetch_add(1, std::memory_order_relaxed);
     OBS_COUNTER_INC("trace/storage/cache/evictions");
   }
 }
 
 void BlockCache::set_budget(std::uint64_t bytes) {
+  std::lock_guard<std::mutex> lock(mutex_);
   budget_.store(bytes, std::memory_order_relaxed);
-  const std::uint64_t per_shard = shard_budget();
-  for (Shard& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    evict_locked(shard, per_shard);
-  }
+  evict_locked();
 }
 
 void BlockCache::purge(std::uint64_t generation) {
-  for (Shard& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    for (auto it = shard.lru.begin(); it != shard.lru.end();) {
-      if (it->generation == generation) {
-        auto entry = shard.map.find(*it);
-        shard.bytes -= entry->second.block.bytes;
-        shard.map.erase(entry);
-        it = shard.lru.erase(it);
-      } else {
-        ++it;
-      }
+  std::lock_guard<std::mutex> lock(mutex_);
+  for (auto it = lru_.begin(); it != lru_.end();) {
+    if (it->generation == generation) {
+      auto entry = map_.find(*it);
+      bytes_ -= entry->second.block.bytes;
+      map_.erase(entry);
+      it = lru_.erase(it);
+    } else {
+      ++it;
     }
   }
 }
@@ -120,10 +113,8 @@ BlockCache::Stats BlockCache::stats() const {
   s.hits = hits_.load(std::memory_order_relaxed);
   s.misses = misses_.load(std::memory_order_relaxed);
   s.evictions = evictions_.load(std::memory_order_relaxed);
-  for (const Shard& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    s.resident_bytes += shard.bytes;
-  }
+  std::lock_guard<std::mutex> lock(mutex_);
+  s.resident_bytes = bytes_;
   return s;
 }
 

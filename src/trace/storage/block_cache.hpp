@@ -4,9 +4,10 @@
 /// Process-wide concurrent block cache over BlockStore readers.
 ///
 /// One cache serves every open store; entries are keyed by the store's
-/// generation id plus (column, block). Sixteen independently locked
-/// shards each run strict LRU within a per-shard slice of the byte
-/// budget. A hit (or a filled miss) returns a shared_ptr to the block's
+/// generation id plus (column, block). One mutex guards one strict LRU
+/// over the whole byte budget, so any working set that fits the budget
+/// stops missing once it is resident. A miss reads outside the lock. A
+/// hit (or a filled miss) returns a shared_ptr to the block's
 /// buffer — that reference IS the pin: eviction only drops the cache's
 /// own reference, so a reader's span stays valid for as long as it holds
 /// the pointer, even under a tiny budget with heavy eviction.
@@ -80,28 +81,15 @@ class BlockCache {
     CachedBlock block;
     std::list<Key>::iterator lru_pos;
   };
-  struct Shard {
-    mutable std::mutex mutex;
-    std::unordered_map<Key, Entry, KeyHash> map;
-    std::list<Key> lru;  // front = most recent
-    std::uint64_t bytes = 0;
-  };
+  /// Evict LRU entries until the cache fits `budget_`, keeping at
+  /// least one. Caller holds mutex_; evicted buffers die here unless
+  /// pinned.
+  void evict_locked();
 
-  static constexpr std::uint32_t kShards = 16;
-
-  Shard& shard_for(const Key& k) {
-    return shards_[KeyHash{}(k) % kShards];
-  }
-  /// Evict LRU entries until the shard fits its budget slice. Caller
-  /// holds the shard lock; evicted buffers die here unless pinned.
-  void evict_locked(Shard& shard, std::uint64_t budget);
-
-  [[nodiscard]] std::uint64_t shard_budget() const {
-    const std::uint64_t total = budget_.load(std::memory_order_relaxed);
-    return total == 0 ? 0 : (total / kShards == 0 ? 1 : total / kShards);
-  }
-
-  Shard shards_[kShards];
+  mutable std::mutex mutex_;
+  std::unordered_map<Key, Entry, KeyHash> map_;
+  std::list<Key> lru_;  // front = most recent
+  std::uint64_t bytes_ = 0;
   std::atomic<std::uint64_t> budget_{0};  // 0 = unbounded
   std::atomic<std::uint64_t> hits_{0};
   std::atomic<std::uint64_t> misses_{0};

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <atomic>
 #include <condition_variable>
+#include <exception>
+#include <limits>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -39,6 +41,14 @@ struct ThreadPool::Impl {
     int tickets = 0;  ///< worker participation slots left
     int active = 0;   ///< participants currently inside participate()
     obs::AllocCounters worker_allocs;  ///< summed from finished workers
+    /// The exception thrown by the chunk with the lowest begin, and that
+    /// begin (int64 max while none has thrown). Chunks that start past
+    /// it are skipped; every chunk before it still runs, so the one
+    /// rethrown is the serial loop's first, whatever the thread count.
+    std::mutex error_mu;
+    std::atomic<std::int64_t> error_begin{
+        std::numeric_limits<std::int64_t>::max()};
+    std::exception_ptr error;
   };
 
   std::mutex mu;
@@ -114,8 +124,19 @@ struct ThreadPool::Impl {
         hi = shard.end;
         shard.end = lo;
       }
-      for (std::int64_t c = lo; c < hi; c += j.grain)
-        (*j.body)(c, std::min(hi, c + j.grain));
+      for (std::int64_t c = lo; c < hi; c += j.grain) {
+        if (c > j.error_begin.load(std::memory_order_relaxed)) break;
+        try {
+          (*j.body)(c, std::min(hi, c + j.grain));
+        } catch (...) {
+          std::lock_guard<std::mutex> g(j.error_mu);
+          if (c < j.error_begin.load(std::memory_order_relaxed)) {
+            j.error_begin.store(c, std::memory_order_relaxed);
+            j.error = std::current_exception();
+          }
+          break;
+        }
+      }
     }
   }
 };
@@ -210,6 +231,7 @@ void ThreadPool::parallel_for_chunks(
   // Credit worker-side heap traffic to this thread so enclosing
   // AllocScope / span deltas keep summing correctly across the fan-out.
   obs::credit_external_allocs(job.worker_allocs);
+  if (job.error) std::rethrow_exception(job.error);
 }
 
 void ThreadPool::ensure_workers(int wanted) {

@@ -29,6 +29,15 @@
 /// returns, so AllocScope / per-span / per-pass alloc_bytes keep summing
 /// correctly when work fans out (see obs/memstats.hpp).
 ///
+/// Exceptions: a body that throws does not take the process down. Each
+/// participant catches what its chunks throw; the job still drains
+/// (chunks that start past the lowest throwing chunk are skipped, every
+/// earlier one runs), the workers are joined and their allocations
+/// credited, and then the calling thread rethrows the exception of the
+/// chunk with the lowest begin. For parallel_for that is the lowest
+/// throwing index — the exception a serial loop would have thrown — at
+/// any thread count.
+///
 /// Nested parallel_for calls from inside a worker run inline serially:
 /// the pipeline parallelizes one stage at a time, and inline execution
 /// keeps a mis-nested call correct instead of deadlocked.

@@ -2,10 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <map>
+#include <random>
 #include <thread>
 
 #include "trace/builder.hpp"
+#include "trace/storage/options.hpp"
 #include "util/rng.hpp"
 
 namespace logstruct::order {
@@ -308,6 +312,123 @@ TEST(PartitionGraph, CollapsedGroupsAreDropped) {
   EXPECT_EQ(pg.num_partitions(), 1);
   EXPECT_EQ(pg.num_groups(), 0);
   EXPECT_EQ(pg.dag().num_edges(), 0u);
+}
+
+/// Random partitions of a tie-heavy trace, random labels with one group
+/// of over a thousand members, merged both by apply_merges (pair
+/// batches) and by cycle_merge (a ring per group): every merged event
+/// list must equal the brute-force (time, id) sort of its members'
+/// events, and every chare list the sorted unique union — on mem and on
+/// blocked storage with 4 KiB blocks.
+TEST(PartitionGraph, LargeMergeMatchesSortedUnion) {
+  using trace::storage::BackendKind;
+  for (BackendKind kind : {BackendKind::Mem, BackendKind::Blocked}) {
+    trace::storage::StorageOptions opts;
+    opts.kind = kind;
+    opts.block_bytes = 4096;
+    opts.cache_bytes = 16 * 4096;
+    trace::storage::ScopedStorageOptions scope(opts);
+
+    // 24 chares × 60 blocks × 1–4 sends, with coarse times so events on
+    // different chares tie often and the id tie-break matters.
+    std::mt19937 rng(17);
+    trace::TraceBuilder tb;
+    trace::EntryId entry = tb.add_entry("go");
+    for (int c = 0; c < 24; ++c) {
+      trace::ChareId ch = tb.add_chare("c" + std::to_string(c));
+      for (int k = 0; k < 60; ++k) {
+        const trace::TimeNs t0 = k * 20 + static_cast<trace::TimeNs>(rng() % 3);
+        trace::BlockId b = tb.begin_block(ch, c % 4, entry, t0);
+        const int sends = 1 + static_cast<int>(rng() % 4);
+        trace::TimeNs t = t0;
+        for (int i = 0; i < sends; ++i) {
+          t += static_cast<trace::TimeNs>(rng() % 2);
+          tb.add_send(b, t);
+        }
+        tb.end_block(b, t0 + 10);
+      }
+    }
+    const trace::Trace tr = tb.finish(4);
+    ASSERT_EQ(tr.storage_backend(), kind);
+
+    // Random partitions of 1–3 events each, time-sorted as required.
+    std::vector<trace::EventId> all(static_cast<std::size_t>(tr.num_events()));
+    for (std::size_t i = 0; i < all.size(); ++i)
+      all[i] = static_cast<trace::EventId>(i);
+    std::shuffle(all.begin(), all.end(), rng);
+    auto by_time = [&tr](trace::EventId a, trace::EventId b) {
+      return std::pair(tr.event_time(a), a) < std::pair(tr.event_time(b), b);
+    };
+    std::vector<std::vector<trace::EventId>> parts;
+    for (std::size_t i = 0; i < all.size();) {
+      const std::size_t len =
+          std::min<std::size_t>(1 + rng() % 3, all.size() - i);
+      std::vector<trace::EventId> p(all.begin() + static_cast<long>(i),
+                                    all.begin() + static_cast<long>(i + len));
+      std::sort(p.begin(), p.end(), by_time);
+      parts.push_back(std::move(p));
+      i += len;
+    }
+    const auto np = static_cast<std::int32_t>(parts.size());
+    ASSERT_GT(np, 1500);
+    // Group 0 takes the first 1,100 partitions; the rest land in one of
+    // 40 groups at random (some stay single-member).
+    std::vector<std::int32_t> group(static_cast<std::size_t>(np));
+    for (std::int32_t p = 0; p < np; ++p)
+      group[static_cast<std::size_t>(p)] =
+          p < 1100 ? 0 : 1 + static_cast<std::int32_t>(rng() % 400);
+    std::shuffle(group.begin(), group.end(), rng);
+
+    // Expected lists per group, by brute force.
+    std::map<std::int32_t, std::vector<trace::EventId>> want_events;
+    std::map<std::int32_t, std::vector<trace::ChareId>> want_chares;
+    for (std::int32_t p = 0; p < np; ++p) {
+      const std::int32_t g = group[static_cast<std::size_t>(p)];
+      for (trace::EventId e : parts[static_cast<std::size_t>(p)]) {
+        want_events[g].push_back(e);
+        want_chares[g].push_back(tr.event(e).chare);
+      }
+    }
+    for (auto& [g, evs] : want_events) std::sort(evs.begin(), evs.end(), by_time);
+    for (auto& [g, cs] : want_chares) {
+      std::sort(cs.begin(), cs.end());
+      cs.erase(std::unique(cs.begin(), cs.end()), cs.end());
+    }
+
+    for (bool by_cycles : {false, true}) {
+      SCOPED_TRACE(std::string(kind == BackendKind::Mem ? "mem" : "blocked") +
+                   (by_cycles ? " cycle_merge" : " apply_merges"));
+      PartitionGraph pg(tr);
+      for (const auto& p : parts) pg.add_partition(p, false);
+      // A ring through each group's members, in partition order.
+      std::map<std::int32_t, std::vector<PartId>> members;
+      for (PartId p = 0; p < np; ++p)
+        members[group[static_cast<std::size_t>(p)]].push_back(p);
+      std::vector<std::pair<PartId, PartId>> pairs;
+      for (const auto& [g, ms] : members) {
+        for (std::size_t i = 0; i + 1 < ms.size(); ++i) {
+          if (by_cycles) pg.add_edge(ms[i], ms[i + 1]);
+          else pairs.emplace_back(ms[i + 1], ms[0]);
+        }
+        if (by_cycles && ms.size() > 1) pg.add_edge(ms.back(), ms[0]);
+      }
+      pg.finalize();
+      ASSERT_TRUE(by_cycles ? pg.cycle_merge() : pg.apply_merges(pairs));
+      ASSERT_EQ(pg.num_partitions(),
+                static_cast<std::int32_t>(members.size()));
+      for (const auto& [g, ms] : members) {
+        const PartId q = pg.part_of(want_events[g].front());
+        const auto evs = pg.events(q);
+        const auto cs = pg.chares(q);
+        ASSERT_TRUE(std::equal(evs.begin(), evs.end(), want_events[g].begin(),
+                               want_events[g].end()))
+            << "group " << g;
+        ASSERT_TRUE(std::equal(cs.begin(), cs.end(), want_chares[g].begin(),
+                               want_chares[g].end()))
+            << "group " << g;
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
 /// PassManager + OrderContext unit tests: registration order, disabled
-/// passes, record bookkeeping, per-pass invariant checking against real
-/// app traces (including the ablation option sets), and the context's
-/// epoch-keyed caches.
+/// passes, record bookkeeping, per-pass block-cache billing, per-pass
+/// invariant checking against real app traces (including the ablation
+/// option sets), and the context's epoch-keyed caches.
 
 #include <gtest/gtest.h>
 
@@ -15,6 +15,8 @@
 #include "order/pass_manager.hpp"
 #include "order/phases.hpp"
 #include "order/stepping.hpp"
+#include "trace/storage/block_cache.hpp"
+#include "trace/storage/options.hpp"
 
 namespace logstruct::order {
 namespace {
@@ -127,6 +129,62 @@ TEST(PassManager, InvariantCheckedRunOnLulesh) {
   opts.partition.check_passes = true;
   LogicalStructure ls = extract_structure(t, opts);
   EXPECT_GT(ls.num_phases(), 0);
+}
+
+/// Every pass is billed the block-cache lookups made while it ran. On a
+/// blocked LULESH with 4 KiB blocks under a 32 KiB budget the per-pass
+/// misses add up to the whole pipeline's miss delta and some pass
+/// misses; on mem no pass looks up a block at all.
+TEST(PassManager, RecordsBlockCacheLookupsPerPass) {
+  using trace::storage::BackendKind;
+  using trace::storage::BlockCache;
+  for (BackendKind kind : {BackendKind::Mem, BackendKind::Blocked}) {
+    trace::storage::StorageOptions sopts;
+    sopts.kind = kind;
+    sopts.block_bytes = 4096;
+    sopts.cache_bytes = 8 * 4096;
+    trace::storage::ScopedStorageOptions scope(sopts);
+    apps::LuleshConfig cfg;
+    cfg.iterations = 2;
+    trace::Trace t = apps::run_lulesh_charm(cfg);
+    ASSERT_EQ(t.storage_backend(), kind);
+
+    OrderContext ctx(t, Options::charm());
+    std::vector<PassRecord> records;
+    const BlockCache::Stats before = BlockCache::global().stats();
+    run_partition_pipeline(ctx, nullptr, &records);
+    run_stepping_pipeline(ctx, &records);
+    const BlockCache::Stats after = BlockCache::global().stats();
+
+    std::int64_t misses = 0;
+    std::int64_t hits = 0;
+    bool some_pass_missed = false;
+    for (const PassRecord& r : records) {
+      EXPECT_GE(r.cache_misses, 0) << r.name;
+      EXPECT_GE(r.cache_hits, 0) << r.name;
+      misses += r.cache_misses;
+      hits += r.cache_hits;
+      some_pass_missed = some_pass_missed || r.cache_misses > 0;
+      if (kind == BackendKind::Mem) {
+        EXPECT_EQ(r.cache_misses, 0) << r.name;
+        EXPECT_EQ(r.cache_hits, 0) << r.name;
+      }
+    }
+    const auto delta_misses =
+        static_cast<std::int64_t>(after.misses - before.misses);
+    const auto delta_hits = static_cast<std::int64_t>(after.hits - before.hits);
+    if (PassManager::invariant_check_forced()) {
+      // The invariant checks run between passes and are billed to none.
+      EXPECT_LE(misses, delta_misses);
+      EXPECT_LE(hits, delta_hits);
+    } else {
+      EXPECT_EQ(misses, delta_misses);
+      EXPECT_EQ(hits, delta_hits);
+    }
+    if (kind == BackendKind::Blocked) {
+      EXPECT_TRUE(some_pass_missed);
+    }
+  }
 }
 
 TEST(OrderContext, LeapCacheInvalidatesOnEpoch) {

@@ -2,7 +2,7 @@
 /// (BlockStoreWriter/BlockStore), the global block cache, the blocked
 /// Trace backend's equivalence with the mem backend,
 /// and a concurrent-reader hammer (the TSan job runs it under
-/// -fsanitize=thread with a tiny cache, so every shard lock and pin
+/// -fsanitize=thread with a tiny cache, so the cache lock and every pin
 /// path gets exercised under real contention).
 
 #include <gtest/gtest.h>
@@ -154,6 +154,40 @@ TEST(BlockCacheTest, EvictionStatsAndPinSafety) {
   // evicted from the cache long ago.
   for (std::size_t i = 0; i < pinned.size(); ++i)
     ASSERT_EQ(pinned[i], static_cast<std::int32_t>(i * 13));
+  std::remove(path.c_str());
+}
+
+/// A working set that fits the budget stops missing once resident: 8
+/// distinct blocks read round-robin 100 times under an 8-block budget
+/// miss exactly once each, whatever blocks they are. Pairs of them are
+/// 16 blocks apart, which a cache split into 16 hash slices of 1/16 of
+/// the budget each puts in the same slice, where they evict each other.
+TEST(BlockCacheTest, WorkingSetWithinBudgetStopsMissing) {
+  const std::string path = temp_path("workingset");
+  std::vector<std::int32_t> vals(32 * 1024);  // 128 KiB = 32 blocks
+  for (std::size_t i = 0; i < vals.size(); ++i)
+    vals[i] = static_cast<std::int32_t>(i * 5);
+  {
+    BlockStoreWriter w(path, 4096);  // 1024 i32 per block
+    w.set_elem_bytes(ColumnId::Events, 4);
+    w.append(ColumnId::Events, vals.data(), vals.size() * 4);
+    w.finish("");
+  }
+  StorageOptions opts = default_options();
+  opts.cache_bytes = 8 * 4096;
+  ScopedStorageOptions scope(opts);
+
+  BlockStore store(path);
+  BlockedColumn<std::int32_t> col(&store, ColumnId::Events);
+  BlockCache::global().reset_stats();
+  const std::size_t blocks[8] = {0, 16, 1, 17, 5, 21, 10, 26};
+  for (int round = 0; round < 100; ++round)
+    for (std::size_t b : blocks)
+      ASSERT_EQ(col.get(b * 1024 + 7),
+                static_cast<std::int32_t>((b * 1024 + 7) * 5));
+  const BlockCache::Stats stats = BlockCache::global().stats();
+  EXPECT_EQ(stats.misses, 8u);
+  EXPECT_EQ(stats.hits, 8u * 100 - 8);
   std::remove(path.c_str());
 }
 

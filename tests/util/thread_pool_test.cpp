@@ -138,6 +138,53 @@ TEST(ThreadPool, WorkerAllocsCreditedToCaller) {
   EXPECT_GE(d.count, 64);
 }
 
+/// A throwing body reaches the caller as an exception, not
+/// std::terminate: the lowest throwing index wins at any thread count,
+/// every index before it ran, and the pool stays usable afterwards.
+TEST(ThreadPool, ExceptionOfLowestIndexReachesCaller) {
+  struct Thrown {
+    std::int64_t index;
+  };
+  ThreadPool pool(4);
+  const std::int64_t n = 1000;
+  for (int round = 0; round < 20; ++round) {
+    std::vector<std::atomic<int>> ran(static_cast<std::size_t>(n));
+    std::int64_t caught = -1;
+    try {
+      pool.parallel_for(n, [&](std::int64_t i) {
+        ran[static_cast<std::size_t>(i)].fetch_add(1,
+                                                   std::memory_order_relaxed);
+        if (i == 17 || i == 900) throw Thrown{i};
+      });
+    } catch (const Thrown& t) {
+      caught = t.index;
+    }
+    ASSERT_EQ(caught, 17) << "round " << round;
+    for (std::int64_t i = 0; i <= 17; ++i)
+      EXPECT_EQ(ran[static_cast<std::size_t>(i)].load(), 1) << "i=" << i;
+
+    std::vector<std::atomic<int>> hits(static_cast<std::size_t>(n));
+    pool.parallel_for(n, [&](std::int64_t i) {
+      hits[static_cast<std::size_t>(i)].fetch_add(1,
+                                                  std::memory_order_relaxed);
+    });
+    for (std::int64_t i = 0; i < n; ++i)
+      ASSERT_EQ(hits[static_cast<std::size_t>(i)].load(), 1) << "i=" << i;
+  }
+  // The free function over the global pool, and the serial path, agree.
+  for (int threads : {1, 4}) {
+    std::int64_t caught = -1;
+    try {
+      parallel_for(threads, n, [](std::int64_t i) {
+        if (i == 17 || i == 900) throw Thrown{i};
+      });
+    } catch (const Thrown& t) {
+      caught = t.index;
+    }
+    EXPECT_EQ(caught, 17) << "threads=" << threads;
+  }
+}
+
 TEST(ThreadPoolDefaults, ResolveThreads) {
   set_default_parallelism(3);
   EXPECT_EQ(default_parallelism(), 3);
